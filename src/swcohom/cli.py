@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chamber import make_path, signed_preimage_count, wall_crossing_jump
 from .divisibility import (
@@ -71,9 +70,13 @@ def _load_json(path):
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 
-def _angle_list(text):
-    # comma-separated rationals, in units of pi
-    return [parse_rational(part) for part in text.split(",")]
+def _rational_option(flag, text):
+    # parsed here rather than by argparse, whose type errors are plain
+    # usage messages instead of swcohom/error/1 documents
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise CLIError(2, "parse", f"bad {flag}: {exc}") from exc
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -186,19 +189,20 @@ def _run_lattice(opt):
 
 
 def _run_reduce(opt):
+    epsilon = _rational_option("--epsilon", opt["epsilon"])
     doc = _load_json(opt["problem"])
     try:
         p = ReductionProblem.from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad reduction problem: {exc}") from exc
-    v_basis = choose_reduction_subspace(p, opt["epsilon"], opt["samples"])
+    v_basis = choose_reduction_subspace(p, epsilon, opt["samples"])
     miss = verify_miss_condition(p, v_basis)
     if not miss.ok:
         raise _domain(
             "miss condition failed for the chosen subspace; "
             "enlarge --samples or shrink --epsilon"
         )
-    report = reduce_and_degree(p, v_basis, opt["epsilon"])
+    report = reduce_and_degree(p, v_basis, epsilon)
     return {
         "schema": "swcohom/reduce/1",
         "domain_dim": p.domain_dim,
@@ -220,9 +224,11 @@ def _run_reduce(opt):
 
 
 def _run_chamber(opt):
+    angles = [_rational_option("--angles", part)
+              for part in opt["angles"].split(",")]
     path = make_path(opt["n"])
     counts = []
-    for alpha in opt["angles"]:
+    for alpha in angles:
         c = signed_preimage_count(path, alpha)
         counts.append({
             "point_angle": format_rational(c.point_angle),
@@ -338,12 +344,12 @@ def _build_parser():
 
     p = sub.add_parser("reduce", help="finite-dimensional reduction and degree")
     p.add_argument("--problem", required=True, metavar="FILE")
-    p.add_argument("--epsilon", type=parse_rational, default=Fraction(1, 4))
+    p.add_argument("--epsilon", default="1/4")
     p.add_argument("--samples", type=int, default=128)
 
     p = sub.add_parser("chamber", help="signed counts and the wall-crossing jump")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--angles", type=_angle_list, required=True,
+    p.add_argument("--angles", required=True,
                    help="comma-separated rationals, units of pi")
     return parser
 

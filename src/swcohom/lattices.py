@@ -41,17 +41,23 @@ class GramMatrix:
 
     The constructor checks only shape and integrality; symmetry,
     unimodularity and negative definiteness are the job of validate(),
-    so that invalid forms can be constructed and reported on.
+    so that invalid forms can be constructed and reported on.  Entries
+    must be ints: a float or a bool is refused, never truncated.
     """
 
     n: int
     entries: tuple
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("entries must form a nonempty square matrix")
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(
+                        f"entries must be integers, got {type(x).__name__} {x!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
 

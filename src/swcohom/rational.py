@@ -13,14 +13,22 @@ __all__ = ["parse_rational", "format_rational"]
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or plain "num") into a Fraction.
 
-    Raises ValueError on malformed input, including float-looking strings.
+    Raises TypeError when ``text`` is not a str (a JSON number, say), and
+    ValueError on malformed input, including float-looking strings and a
+    zero denominator.
     """
+    if not isinstance(text, str):
+        raise TypeError(
+            f"expected a \"num/den\" string, got {type(text).__name__} {text!r}")
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")
     if "/" in s:
         num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

@@ -10,7 +10,14 @@ The one series this package ultimately cares about is
 
     log(1 - xi)^p  =  sum_{l >= 0}  a(p, l) xi^(p + l),
 
-whose coefficients ``a(p, l)`` are produced by :func:`taylor_coefficients_a`.
+whose coefficients ``a(p, l)`` are produced by :func:`taylor_coefficients_a`
+from the closed form
+
+    a(p, l) = (-1)^p p! c(p + l, p) / (p + l)!,
+
+with c the unsigned Stirling numbers of the first kind (Graham, Knuth and
+Patashnik, *Concrete Mathematics*, section 6.1 and (7.50)), in integer
+arithmetic and without any series multiplication.
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(c * a for a in self.coefficients))
 
     def __pow__(self, p: int) -> "TruncatedSeries":
-        # binary exponentiation; p can reach a few hundred in sweeps
+        # binary exponentiation
         if p < 0:
             raise ValueError("negative powers are not defined here")
         result = TruncatedSeries.one(self.order)
@@ -217,18 +224,33 @@ def taylor_coefficients_a(p: int, kappa: int) -> list[Fraction]:
     """Coefficients a(p, 0..kappa): a(p, l) is the xi^(p+l) coefficient of
     log(1 - xi)^p.
 
-    Because log(1 - xi) = -xi * u(xi) with u = sum_{j>=0} xi^j/(j+1), the
-    p-th power factors as (-1)^p xi^p u^p; only u^p mod xi^(kappa+1) is
-    needed, which keeps sweeps over p up to a few hundred cheap.  The
-    result equals the coefficient list of the full series at any working
-    order >= p + kappa + 1.
+    Since log(1 - xi)^p / p! = sum_n (-1)^p c(n, p) xi^n / n! for the
+    unsigned Stirling numbers of the first kind c(n, p) (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, section 6.1 and (7.50)),
+
+        a(p, l) = (-1)^p c(p + l, p) / ((p + 1) (p + 2) ... (p + l)).
+
+    The integers T[j][k] = c(k + j, k) obey
+
+        T[j][k] = (k + j - 1) T[j - 1][k] + T[j][k - 1],
+
+    with T[0][k] = 1 and T[j][0] = 0 for j >= 1, which is the recurrence
+    c(n + 1, k) = n c(n, k) + c(n, k - 1) at n = k + j - 1.  They are
+    built one row j at a time over k = 0..p, so only two rows of p + 1
+    integers are alive, and each a(p, l) becomes one Fraction at the end.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    order = kappa + 1
-    u = TruncatedSeries(order, [Fraction(1, j + 1) for j in range(order)])
-    up = u ** p
     sign = -1 if p % 2 else 1
-    return [sign * c for c in up.coefficients]
+    row = [1] * (p + 1)
+    coeffs = [Fraction(sign)]
+    rising = 1
+    for j in range(1, kappa + 1):
+        prev, row = row, [0] * (p + 1)
+        for k in range(1, p + 1):
+            row[k] = (k + j - 1) * prev[k] + row[k - 1]
+        rising *= p + j
+        coeffs.append(Fraction(sign * row[p], rising))
+    return coeffs

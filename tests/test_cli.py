@@ -164,6 +164,32 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
     assert json.loads(err)["error"]["code"] == "parse"
 
 
+@pytest.mark.parametrize("argv, files", [
+    (["chamber", "--n", "3", "--angles", "1/2,1/0"], {}),
+    (["reduce", "--problem", "{problem}", "--epsilon", "1/0"],
+     {"problem": TRANSLATION_PROBLEM}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, linear_part=[[1, 0], [0, 1]])}),
+    (["lattice", "--gram", "{gram}"], {"gram": [[-1.9]]}),
+    (["lattice", "--gram", "{gram}"], {"gram": [[-1, 0], [0, True]]}),
+], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
+        "reduce-json-numbers", "gram-float", "gram-bool"])
+def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
+    # zero denominators, JSON numbers where "num/den" strings belong, and
+    # float or bool Gram entries: one swcohom/error/1 line, never a traceback
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    status, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (status, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["schema"] == "swcohom/error/1"
+    assert doc["error"]["code"] == "parse"
+
+
 def test_epsilon_out_of_range(capsys, tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(TRANSLATION_PROBLEM))

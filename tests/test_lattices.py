@@ -95,6 +95,13 @@ def test_gram_shape_errors():
         GramMatrix([[1, 0], [0]])
     with pytest.raises(ValueError):
         GramMatrix([])
+    # non-integer entries are refused, not truncated by int()
+    with pytest.raises(ValueError):
+        GramMatrix([[-1.9]])
+    with pytest.raises(ValueError):
+        GramMatrix([[-1, 0.5], [0.5, -1]])
+    with pytest.raises(ValueError):
+        GramMatrix([[True]])
 
 
 # -- characteristic vectors ---------------------------------------------------

@@ -2,7 +2,9 @@
 
 Oracle values below were computed two independent ways before being
 frozen here: by hand from the Mercator series, and by the naive
-full-order power computation that `naive_a` reproduces inline.
+full-order power computation that `naive_a` reproduces inline.  The
+Stirling-number fast path of `taylor_coefficients_a` is also checked
+against `power_a`, the series power it replaced.
 """
 
 from fractions import Fraction
@@ -31,6 +33,16 @@ def naive_a(p, kappa):
     for _ in range(p):
         prod = prod * s
     return list(prod.coefficients[p : p + kappa + 1])
+
+
+def power_a(p, kappa):
+    # independent oracle: log(1-xi) = -xi u(xi) with u = sum_j xi^j/(j+1),
+    # so a(p, 0..kappa) are (-1)^p times the coefficients of u^p mod
+    # xi^(kappa+1), raised to the p-th power by binary exponentiation
+    order = kappa + 1
+    u = TruncatedSeries(order, [F(1, j + 1) for j in range(order)])
+    sign = -1 if p % 2 else 1
+    return [sign * c for c in (u ** p).coefficients]
 
 
 # -- construction and basic ring laws ---------------------------------
@@ -132,10 +144,17 @@ def test_a_leading_and_subleading():
         assert coeffs[1] == F(sign * p, 2)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
-@pytest.mark.parametrize("kappa", [0, 1, 3, 6])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 11, 16, 20])
+@pytest.mark.parametrize("kappa", [0, 1, 3, 6, 10, 15, 20])
 def test_a_fast_path_matches_naive_expansion(p, kappa):
     assert taylor_coefficients_a(p, kappa) == naive_a(p, kappa)
+
+
+# the sizes of the benchmark's plateau bound jobs (k/2 56-58, p 230-250)
+# and of its heaviest bound jobs (k/2 up to 120, d up to 400)
+@pytest.mark.parametrize("p, kappa", [(2, 120), (240, 57), (279, 120)])
+def test_a_fast_path_matches_series_power(p, kappa):
+    assert taylor_coefficients_a(p, kappa) == power_a(p, kappa)
 
 
 def test_a_rejects_bad_arguments():
