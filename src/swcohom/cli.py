@@ -27,7 +27,6 @@ from .lattices import (
     GramMatrix,
     diagonal_witness,
     donaldson_admissible,
-    min_characteristic_norm,
     validate,
 )
 from .rational import format_rational, parse_rational

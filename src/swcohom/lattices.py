@@ -236,31 +236,32 @@ def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
 def min_characteristic_norm(g: GramMatrix) -> int:
     """Minimum of -c^2 over all characteristic vectors c.
 
-    Starts the search at bound = rank and doubles until something is
-    found; any hit then bounds the minimum, so the first nonempty
-    enumeration already contains the true minimizer.
+    Equal to donaldson_admissible(g).min_norm; see there for why one
+    enumeration at bound rank - 8 decides it.
     """
-    _require_valid(g)
-    c0 = find_characteristic(g)
-    bound = g.n
-    while True:
-        found = enumerate_coset_by_norm(g, c0, bound)
-        if found:
-            return _norm(g, found[0].coords)
-        bound *= 2
+    return donaldson_admissible(g).min_norm
 
 
 def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     """Admissible iff every characteristic c has -c^2 >= rank; when it
     fails, a concrete minimizing witness is attached.
+
+    One coset enumeration at bound n - 8 decides it.  By Elkies' theorem
+    (N. Elkies, "A characterization of the Z^n lattice", Math. Res.
+    Lett. 2, 1995) the minimum characteristic norm of a definite
+    unimodular lattice of rank n is at most n, with equality only for
+    Z^n; by van der Blij's congruence (F. van der Blij, "An invariant of
+    quadratic forms mod 8", Indag. Math. 21, 1959) every characteristic
+    norm is = n mod 8.  So the minimum is either n, and the coset has no
+    vector of norm <= n - 8, or it is at most n - 8, and the first
+    enumerated vector, sorted by (norm, coordinates), is the minimizer.
     """
     _require_valid(g)
-    m = min_characteristic_norm(g)
-    if m >= g.n:
-        return AdmissibilityVerdict(True, m, None)
-    c0 = find_characteristic(g)
-    witness = enumerate_coset_by_norm(g, c0, m)[0]
-    return AdmissibilityVerdict(False, m, witness)
+    found = enumerate_coset_by_norm(g, find_characteristic(g), g.n - 8)
+    if not found:
+        return AdmissibilityVerdict(True, g.n, None)
+    witness = found[0]
+    return AdmissibilityVerdict(False, _norm(g, witness.coords), witness)
 
 
 def diagonal_witness(g: GramMatrix, max_rank: int = 8):

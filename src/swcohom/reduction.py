@@ -58,6 +58,13 @@ __all__ = [
 # -- compact part evaluators ---------------------------------------------
 
 
+def _strict_int(x, what):
+    # JSON floats and booleans are refused, never truncated by int()
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(x).__name__} {x!r}")
+    return x
+
+
 class PolynomialMap:
     """Exact polynomial map Q^m -> Q^k.
 
@@ -68,7 +75,8 @@ class PolynomialMap:
     def __init__(self, input_dim, components):
         self.input_dim = input_dim
         self.components = [
-            [(Fraction(c), tuple(int(e) for e in powers)) for c, powers in comp]
+            [(Fraction(c), tuple(_strict_int(e, "exponent") for e in powers))
+             for c, powers in comp]
             for comp in components
         ]
         for comp in self.components:
@@ -255,10 +263,10 @@ class ReductionProblem:
         linear = [
             [parse_rational(x) for x in row] for row in obj["linear_part"]
         ]
-        domain_dim = int(obj["domain_dim"])
+        domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
         return cls(
             domain_dim=domain_dim,
-            target_dim=int(obj["target_dim"]),
+            target_dim=_strict_int(obj["target_dim"], "target_dim"),
             linear_part=linear,
             compact_part=compact_from_json(obj["compact_part"], domain_dim),
             bound_radius=parse_rational(str(obj["bound_radius"])),

@@ -172,11 +172,21 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
      {"problem": dict(TRANSLATION_PROBLEM, linear_part=[[1, 0], [0, 1]])}),
     (["lattice", "--gram", "{gram}"], {"gram": [[-1.9]]}),
     (["lattice", "--gram", "{gram}"], {"gram": [[-1, 0], [0, True]]}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, domain_dim=2.7)}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, target_dim=2.2)}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "components": [[["1", [1.9, 0]]], []]})}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
-        "reduce-json-numbers", "gram-float", "gram-bool"])
+        "reduce-json-numbers", "gram-float", "gram-bool",
+        "reduce-float-domain-dim", "reduce-float-target-dim",
+        "reduce-float-exponent"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong, and
-    # float or bool Gram entries: one swcohom/error/1 line, never a traceback
+    # floats or bools where integers belong: one swcohom/error/1 line,
+    # never a traceback
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"

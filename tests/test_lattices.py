@@ -12,8 +12,11 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swcohom.lattices import (
+    AdmissibilityVerdict,
     GramMatrix,
     LatticeVector,
     diagonal_witness,
@@ -74,6 +77,53 @@ def conjugate(g, u):
     gm = [[Fraction(x) for x in row] for row in g.entries]
     um = [[Fraction(x) for x in row] for row in u]
     return GramMatrix([[int(x) for x in row] for row in mat_mul(mat_mul(ut, gm), um)])
+
+
+def direct_sum(*grams):
+    n = sum(g.n for g in grams)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g.entries):
+            m[at + i][at:at + g.n] = row
+        at += g.n
+    return GramMatrix(m)
+
+
+def minus_d12_plus():
+    """-D12+: D12 = {x in Z^12 : sum x even} glued with h = (1/2, ..., 1/2).
+
+    Basis h, e_i - e_{i+1} (2 <= i <= 11) and e_11 + e_12: the D12 basis
+    with e_1 - e_2 traded for h, whose coefficient on it is 1/2.
+    Coordinates are doubled so that they stay integral; validate() then
+    confirms |det| = 1, so this unimodular sublattice of D12+ is all of it.
+    """
+    basis = [[0] * 12 for _ in range(12)]
+    basis[0] = [1] * 12
+    for i in range(1, 11):
+        basis[i][i], basis[i][i + 1] = 2, -2
+    basis[11][10] = basis[11][11] = 2
+    return GramMatrix([
+        [-sum(a * b for a, b in zip(u, v)) // 4 for v in basis] for u in basis
+    ])
+
+
+def doubling_oracle(g):
+    """The search donaldson_admissible replaced: enumerate the coset at
+    bound rank, doubling until a vector turns up, then once more at the
+    minimum for the witness.  It assumes no bound on the minimum.
+    """
+    c0 = find_characteristic(g)
+    bound = g.n
+    while True:
+        found = enumerate_coset_by_norm(g, c0, bound)
+        if found:
+            break
+        bound *= 2
+    m = norm_of(g, found[0].coords)
+    if m >= g.n:
+        return AdmissibilityVerdict(True, m, None)
+    return AdmissibilityVerdict(False, m, enumerate_coset_by_norm(g, c0, m)[0])
 
 
 # -- validation -------------------------------------------------------------
@@ -199,6 +249,53 @@ def test_admissibility_verdicts():
     assert not v.admissible
     assert v.min_norm == 0
     assert v.witness.coords == (0,) * 8
+
+
+def test_admissibility_matches_doubling_oracle():
+    rng = random.Random(17)
+    forms = [minus_identity(n) for n in range(1, 11)]
+    forms += [e8_gram(), direct_sum(e8_gram(), minus_identity(1)),
+              direct_sum(e8_gram(), minus_identity(2))]
+    for g in list(forms):
+        forms.append(conjugate(g, random_unimodular(rng, g.n, steps=g.n)))
+    for g in forms:
+        assert validate(g).valid
+        expected = doubling_oracle(g)
+        assert donaldson_admissible(g) == expected, g.entries
+        assert min_characteristic_norm(g) == expected.min_norm
+
+
+def test_admissibility_beyond_the_doubling_search():
+    # verdicts known from the structure of each lattice; the doubling
+    # search took seconds on each of these
+    v = donaldson_admissible(minus_identity(14))
+    assert v == AdmissibilityVerdict(True, 14, None)
+    v = donaldson_admissible(direct_sum(e8_gram(), e8_gram()))
+    assert v == AdmissibilityVerdict(False, 0, LatticeVector([0] * 16))
+    g = minus_d12_plus()
+    assert validate(g).valid
+    v = donaldson_admissible(g)
+    assert not v.admissible and v.min_norm == 4
+    assert is_characteristic(g, v.witness)
+    assert norm_of(g, v.witness.coords) == 4
+
+
+@st.composite
+def definite_forms(draw):
+    base = draw(st.sampled_from(
+        [minus_identity(n) for n in range(1, 9)] + [e8_gram()]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    steps = draw(st.integers(0, 2 * base.n))
+    return conjugate(base, random_unimodular(random.Random(seed), base.n, steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(definite_forms())
+def test_admissible_exactly_when_diagonal(g):
+    # Elkies: the minimum reaches the rank only for the diagonal form, so
+    # the coset search and the orthogonal-frame search must agree
+    assert validate(g).valid
+    assert donaldson_admissible(g).admissible == (diagonal_witness(g) is not None)
 
 
 # -- diagonal witness -------------------------------------------------------------
