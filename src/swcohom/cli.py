@@ -34,7 +34,6 @@ from .reduction import (
     ReductionProblem,
     choose_reduction_subspace,
     reduce_and_degree,
-    verify_miss_condition,
 )
 
 __all__ = ["RunConfig", "dispatch", "main"]
@@ -195,13 +194,8 @@ def _run_reduce(opt):
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad reduction problem: {exc}") from exc
     v_basis = choose_reduction_subspace(p, epsilon, opt["samples"])
-    miss = verify_miss_condition(p, v_basis)
-    if not miss.ok:
-        raise _domain(
-            "miss condition failed for the chosen subspace; "
-            "enlarge --samples or shrink --epsilon"
-        )
     report = reduce_and_degree(p, v_basis, epsilon)
+    miss = report.miss
     return {
         "schema": "swcohom/reduce/1",
         "domain_dim": p.domain_dim,

@@ -15,6 +15,15 @@ used internally is orthogonalized and rescaled so each vector has
 squared length within [8/9, 9/8]; the scale factor is found with one
 float square root but applied as an exact rational, so no floating
 point ever enters a computed value.
+
+For a chosen V the reduced map is prepared once, and the same object
+serves the miss check and the degree, so `reduce` checks the miss
+condition once.  Its evaluation runs in integer arithmetic: a point and
+each basis vector are integer rows over one common denominator,
+PolynomialMap.evaluate_scaled returns integer numerators over one
+common denominator, and the squared lengths the miss check compares sit
+over one denominator too.  Only the values handed to brouwer_degree
+become Fractions.
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ from .linalg import (
     vec_add,
     vec_dot,
     vec_scale,
-    vec_sub,
 )
 from .rational import format_rational, parse_rational
 
@@ -65,11 +73,28 @@ def _strict_int(x, what):
     return x
 
 
+def _over_common_denominator(x):
+    # x = X / S with integer X and the least common denominator S
+    x = [Fraction(v) for v in x]
+    s = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (s // v.denominator) for v in x], s
+
+
+def _int_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _call_scaled(m, x):
+    nums, den = m.evaluate_scaled(*_over_common_denominator(x))
+    return [Fraction(n, den) for n in nums]
+
+
 class PolynomialMap:
     """Exact polynomial map Q^m -> Q^k.
 
     components[j] is a list of (coefficient, exponent tuple) terms; the
-    j-th output is the sum of coeff * prod(x_i ** e_i).
+    j-th output is the sum of coeff * prod(x_i ** e_i).  Evaluation runs
+    in integers through evaluate_scaled.
     """
 
     def __init__(self, input_dim, components):
@@ -83,19 +108,44 @@ class PolynomialMap:
             for _, powers in comp:
                 if len(powers) != input_dim or any(e < 0 for e in powers):
                     raise ValueError(f"bad exponent tuple {powers}")
+        # integer kernel: every coefficient over one common denominator,
+        # each term padded to the maximum degree with powers of S
+        self._denominator = math.lcm(
+            *(c.denominator for comp in self.components for c, _ in comp))
+        self._max_degree = max(
+            (sum(powers) for comp in self.components for _, powers in comp),
+            default=0)
+        self._int_terms = [
+            [(c.numerator * (self._denominator // c.denominator),
+              self._max_degree - sum(powers),
+              tuple((i, e) for i, e in enumerate(powers) if e))
+             for c, powers in comp]
+            for comp in self.components
+        ]
 
-    def __call__(self, x):
-        out = []
-        for comp in self.components:
-            total = Fraction(0)
-            for coeff, powers in comp:
-                term = coeff
-                for xi, e in zip(x, powers):
-                    if e:
-                        term *= Fraction(xi) ** e
+    def evaluate_scaled(self, X, S):
+        """Values at x = X/S, for integers X and S > 0, as integer
+        numerators over one common denominator: (numerators, denominator).
+        """
+        m = self._max_degree
+        s_pow = [1]
+        x_pow = [[1] for _ in X]
+        for _ in range(m):
+            s_pow.append(s_pow[-1] * S)
+            for xi, row in zip(X, x_pow):
+                row.append(row[-1] * xi)
+        nums = []
+        for comp in self._int_terms:
+            total = 0
+            for coeff, slack, factors in comp:
+                term = coeff * s_pow[slack]
+                for i, e in factors:
+                    term *= x_pow[i][e]
                 total += term
-            out.append(total)
-        return out
+            nums.append(total)
+        return nums, self._denominator * s_pow[m]
+
+    __call__ = _call_scaled
 
     def to_json(self):
         return {
@@ -120,12 +170,18 @@ class PiecewisePolynomialMap:
         if not self.pieces:
             raise ValueError("need at least one piece")
 
-    def __call__(self, x):
-        norm2 = sum(Fraction(xi) ** 2 for xi in x)
+    def evaluate_scaled(self, X, S):
+        """The first piece with |X|^2 den(T) <= num(T) S^2, evaluated as
+        PolynomialMap.evaluate_scaled does.
+        """
+        norm2, s2 = sum(xi * xi for xi in X), S * S
         for threshold, poly in self.pieces:
-            if threshold is None or norm2 <= threshold:
-                return poly(x)
-        raise ValueError(f"no piece covers |x|^2 = {norm2}")
+            if (threshold is None
+                    or norm2 * threshold.denominator <= threshold.numerator * s2):
+                return poly.evaluate_scaled(X, S)
+        raise ValueError(f"no piece covers |x|^2 = {Fraction(norm2, s2)}")
+
+    __call__ = _call_scaled
 
     def covers_norm2(self, norm2_bound: Fraction) -> bool:
         return any(t is None or t >= norm2_bound for t, _ in self.pieces)
@@ -269,7 +325,7 @@ class ReductionProblem:
             target_dim=_strict_int(obj["target_dim"], "target_dim"),
             linear_part=linear,
             compact_part=compact_from_json(obj["compact_part"], domain_dim),
-            bound_radius=parse_rational(str(obj["bound_radius"])),
+            bound_radius=parse_rational(obj["bound_radius"]),
         )
 
     def to_json(self):
@@ -290,6 +346,7 @@ class DegreeReport:
     reduced_dim: int
     degree: int
     epsilon: Fraction
+    miss: MissVerdict
 
 
 @dataclass(frozen=True)
@@ -320,24 +377,37 @@ def _radical_inverse(i: int, base: int) -> Fraction:
     return Fraction(num, denom)
 
 
-def halton_ball(dim: int, radius, count: int, max_attempts: int = 8192):
-    """First ``count`` Halton cube points that land in the ball, exact
-    rational coordinates, deterministic.  Always includes the origin.
-    """
+def _halton_point(i: int, dim: int, half_width: Fraction):
+    # the i-th Halton point of the cube [-w, w]^dim, t_k = w (2 h_k - 1),
+    # as integers T over one denominator s
+    h = [_radical_inverse(i, base) for base in _HALTON_BASES[:dim]]
+    s = math.prod(q.denominator for q in h)
+    T = [half_width.numerator * (2 * q.numerator - q.denominator)
+         * (s // q.denominator) for q in h]
+    return T, s * half_width.denominator
+
+
+def _halton_ball_scaled(dim: int, radius, count: int, max_attempts: int = 8192):
+    # halton_ball's points as integers (X, S), x = X / S
     r = Fraction(radius)
-    points = [[Fraction(0)] * dim]
+    points = [([0] * dim, 1)]
     i = 1
     while len(points) < count:
         if i > max_attempts:
             raise ValueError("sampling budget exceeded")
-        p = [
-            r * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
-            for k in range(dim)
-        ]
-        if vec_dot(p, p) <= r * r:
-            points.append(p)
+        X, S = _halton_point(i, dim, r)
+        if _int_dot(X, X) * r.denominator ** 2 <= r.numerator ** 2 * S * S:
+            points.append((X, S))
         i += 1
     return points
+
+
+def halton_ball(dim: int, radius, count: int, max_attempts: int = 8192):
+    """First ``count`` Halton cube points that land in the ball, exact
+    rational coordinates, deterministic.  Always includes the origin.
+    """
+    return [[Fraction(x, S) for x in X]
+            for X, S in _halton_ball_scaled(dim, radius, count, max_attempts)]
 
 
 def _unit_rescale(v):
@@ -361,13 +431,6 @@ def _prepared_basis(vectors):
 
 def _project_coeffs(orth_basis, y):
     return [vec_dot(y, b) / vec_dot(b, b) for b in orth_basis]
-
-
-def _project(orth_basis, y):
-    out = [Fraction(0)] * len(y)
-    for b in orth_basis:
-        out = vec_add(out, vec_scale(vec_dot(y, b) / vec_dot(b, b), b))
-    return out
 
 
 def _complement_basis(orth_basis, dim):
@@ -397,32 +460,89 @@ def _preimage_basis(p: ReductionProblem, v_basis, u_basis):
     return _prepared_basis(nullspace(rows))
 
 
-def _span_samples(basis, radius, count, ambient_dim):
-    """Deterministic sample points of span(basis) with |x| <= radius."""
-    if not basis:
-        return [[Fraction(0)] * ambient_dim]
-    dim = len(basis)
-    # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
-    t_radius = Fraction(17, 16) * Fraction(radius)
-    points = []
-    i = 1
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 16 * count + 8192:
-            break
-        t = [
-            t_radius * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
-            for k in range(dim)
-        ]
-        i += 1
-        x = [Fraction(0)] * len(basis[0])
-        for tk, b in zip(t, basis):
-            x = vec_add(x, vec_scale(tk, b))
-        if vec_dot(x, x) <= Fraction(radius) ** 2:
-            points.append(x)
-    points.append([Fraction(0)] * len(basis[0]))
-    return points
+def _integer_rows(vectors):
+    # rows over the least common denominator of all their entries
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
+
+
+def _integer_row(v):
+    # (B, d, |B|^2) for v = B / d
+    (row,), d = _integer_rows([v])
+    return row, d, _int_dot(row, row)
+
+
+def _residual2(rows, y):
+    # k |y - pr y|^2 = k |y|^2 - sum k (y.B)^2 / |B|^2 for integer y and an
+    # orthogonal basis given as rows (B, d, |B|^2), k = lcm |B|^2: (num, k)
+    k = math.lcm(*(n2 for _, _, n2 in rows))
+    return (k * _int_dot(y, y)
+            - sum(_int_dot(y, row) ** 2 * (k // n2) for row, _, n2 in rows)), k
+
+
+class _ReducedMap:
+    """f on V' = l^-1(V) in coordinates, for one problem and one V.
+
+    Prepares B_V, B_U = V-perp and B_V' = l^-1(V) once, each vector b
+    held as an integer row B over its least denominator d.  For a point
+    t, x = B_V' t and f(x) = l x + c(x); l x already lies in V, so the
+    matrix of l|V' in V-coordinates is the whole linear part, and c(x)
+    comes from the integer kernel of the compact part.  g(t) is the
+    V-coordinate vector of f(x), the reduced map whose degree is taken.
+    """
+
+    def __init__(self, p: ReductionProblem, v_basis):
+        self.p = p
+        self.b_v = _prepared_basis(v_basis)
+        self.b_u = _complement_basis(self.b_v, p.target_dim)
+        self.b_vprime = _preimage_basis(p, self.b_v, self.b_u)
+        self._lift_rows, self._lift_den = _integer_rows(self.b_vprime)
+        self._v_rows = [_integer_row(b) for b in self.b_v]
+        self._u_rows = [_integer_row(u) for u in self.b_u]
+        # matrix of l|V' in V-coordinates: column k holds l b'_k along B_V
+        lin = transpose([
+            _project_coeffs(self.b_v, [vec_dot(list(r), b) for r in p.linear_part])
+            for b in self.b_vprime
+        ]) or [[] for _ in self.b_v]
+        self._lin_rows, self._lin_den = _integer_rows(lin)
+        # the part of y along b = B / d has squared length (y . B)^2 / |B|^2;
+        # K clears every such denominator
+        self._k = math.lcm(*(n2 * d * d for _, d, n2 in self._v_rows),
+                           *(n2 for _, _, n2 in self._u_rows))
+
+    def lift(self, T, s):
+        """x = B_V' t as X / S for t = T / s, all integers."""
+        X = [sum(tk * row[j] for tk, row in zip(T, self._lift_rows))
+             for j in range(self.p.domain_dim)]
+        return X, s * self._lift_den
+
+    def numerators(self, T, s, X, S):
+        """Integers (A, P, e) for y = f(x) at t = T / s, x = X / S: along
+        b = B / d in B_V, y has coordinate A_b / (e |B|^2); along u = C / d'
+        in B_U, (y . C) = P_u / e.
+        """
+        nums, den = self.p.compact_part.evaluate_scaled(X, S)
+        q = self._lin_den * s
+        A = [_int_dot(nums, row) * d * q + _int_dot(lin_row, T) * den * n2
+             for (row, d, n2), lin_row in zip(self._v_rows, self._lin_rows)]
+        P = [_int_dot(nums, row) * q for row, _, _ in self._u_rows]
+        return A, P, den * q
+
+    def norms2(self, T, s, X, S):
+        """(|y|^2, |pr_U y|^2) for y = f(x) as integers over one
+        denominator D: (Y, Q, D).  Exact, because the bases are orthogonal.
+        """
+        A, P, e = self.numerators(T, s, X, S)
+        k = self._k
+        Q = sum(p * p * (k // n2) for p, (_, _, n2) in zip(P, self._u_rows))
+        Y = Q + sum(a * a * (k // (n2 * d * d))
+                    for a, (_, d, n2) in zip(A, self._v_rows))
+        return Y, Q, k * e * e
+
+    def g(self, t):
+        T, s = _over_common_denominator(t)
+        A, _, e = self.numerators(T, s, *self.lift(T, s))
+        return [Fraction(a, e * n2) for a, (_, _, n2) in zip(A, self._v_rows)]
 
 
 # -- the reduction operations ------------------------------------------------
@@ -444,52 +564,72 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon}")
     basis = _coker_complement(p)
-    sample_points = halton_ball(p.domain_dim, 2 * p.bound_radius, samples)
-    images = [[Fraction(v) for v in p.compact_part(x)] for x in sample_points]
+    images = [p.compact_part.evaluate_scaled(X, S) for X, S in
+              _halton_ball_scaled(p.domain_dim, 2 * p.bound_radius, samples)]
     while True:
-        worst_dist2, worst = Fraction(0), None
-        for img in images:
-            resid = vec_sub(img, _project(basis, img))
-            dist2 = vec_dot(resid, resid)
-            if dist2 > worst_dist2:
-                worst_dist2, worst = dist2, img
-        if worst is None or worst_dist2 <= eps * eps:
+        rows = [_integer_row(b) for b in basis]
+        # squared distances to span(basis) as integer pairs (num, den)
+        worst_dist2, worst = (0, 1), None
+        for nums, den in images:
+            r, k = _residual2(rows, nums)
+            dist2 = (r, k * den * den)
+            if dist2[0] * worst_dist2[1] > worst_dist2[0] * dist2[1]:
+                worst_dist2, worst = dist2, (nums, den)
+        if (worst is None or worst_dist2[0] * eps.denominator ** 2
+                <= eps.numerator ** 2 * worst_dist2[1]):
             return [list(b) for b in basis]
-        basis = _prepared_basis([list(b) for b in basis] + [worst])
+        nums, den = worst
+        basis = _prepared_basis([list(b) for b in basis]
+                                + [[Fraction(n, den) for n in nums]])
 
 
-def verify_miss_condition(p: ReductionProblem, v_basis,
-                          samples: int = 160) -> MissVerdict:
+def verify_miss_condition(p: ReductionProblem, v_basis, samples: int = 160,
+                          *, reduced=None) -> MissVerdict:
     """Sampled check that f(l^-1(V) intersect ball(2R)) keeps distance at
     least 1/2 from the unit sphere of V-perp.
 
-    The distance test is exact: dist^2 >= 1/4 rearranges to
-    (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with both sides rational.  The
-    reported worst distance-squared is a certified rational lower bound
-    (distance itself involves a square root).
+    The sample points are Halton points t of a cube in V'-coordinates,
+    kept in order when |B_V' t| <= 2R, then the origin.  The distance
+    test is exact: dist^2 >= 1/4 rearranges to
+    (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with both sides rational, and the
+    bases are orthogonal, so |y|^2 is the sum of the squared parts along
+    B_V and B_U.  The reported worst distance-squared is a certified
+    rational lower bound (distance itself involves a square root).
+    ``reduced`` is the _ReducedMap of (p, v_basis) when the caller has
+    already built it.
     """
-    b_v = _prepared_basis(v_basis)
-    b_u = _complement_basis(b_v, p.target_dim)
-    b_vprime = _preimage_basis(p, b_v, b_u)
-    points = _span_samples(b_vprime, 2 * p.bound_radius, samples, p.domain_dim)
+    rmap = reduced if reduced is not None else _ReducedMap(p, v_basis)
+    radius = 2 * p.bound_radius
+    r2_num, r2_den = radius.numerator ** 2, radius.denominator ** 2
+    dim = len(rmap.b_vprime)
+    points = []
+    if dim:
+        # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
+        t_radius = Fraction(17, 16) * radius
+        i = 1
+        while len(points) < samples and i <= 16 * samples + 8192:
+            T, s = _halton_point(i, dim, t_radius)
+            i += 1
+            X, S = rmap.lift(T, s)
+            if _int_dot(X, X) * r2_den <= r2_num * S * S:
+                points.append((T, s, X, S))
+    points.append(([0] * dim, 1, [0] * p.domain_dim, 1))
     ok = True
     worst = None
-    for x in points:
-        y = p.f(x)
-        y2 = vec_dot(y, y)
-        pv = _project(b_v, y)
-        perp2 = y2 - vec_dot(pv, pv)
-        if (y2 + Fraction(3, 4)) ** 2 < 4 * perp2:
+    k = 10 ** 6
+    for point in points:
+        # |y|^2 = Y / D and |pr_perp y|^2 = Q / D
+        Y, Q, D = rmap.norms2(*point)
+        # (|y|^2 + 3/4)^2 < 4 |pr_perp y|^2
+        if (4 * Y + 3 * D) ** 2 < 64 * Q * D:
             ok = False
-        # rational upper bound on |pr_perp y| for the distance report
-        k = 10 ** 6
-        upper = Fraction(
-            math.isqrt((perp2.numerator * k * k) // perp2.denominator) + 1, k
-        )
-        dist2_lower = y2 + 1 - 2 * upper
-        if worst is None or dist2_lower < worst:
+        # rational upper bound upper / k on |pr_perp y| for the distance report
+        upper = math.isqrt((Q * k * k) // D) + 1
+        # |y|^2 + 1 - 2 upper / k
+        dist2_lower = (k * Y + k * D - 2 * upper * D, k * D)
+        if worst is None or dist2_lower[0] * worst[1] < worst[0] * dist2_lower[1]:
             worst = dist2_lower
-    return MissVerdict(ok=ok, worst_distance_squared=worst,
+    return MissVerdict(ok=ok, worst_distance_squared=Fraction(*worst),
                        samples_checked=len(points))
 
 
@@ -508,6 +648,14 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
     """Restrict f to l^-1(V), project to V, and return the degree of the
     original map, orientation corrections included.
 
+    One reduced map, built once, serves both steps.  The miss condition
+    is checked once on it, before anything else, so a caller need not
+    check it again: a V that fails is refused with a ValueError, and the
+    verdict is returned in the report's ``miss``.  The reduced map is
+    evaluated in integer arithmetic: x = B_V' t over one common
+    denominator, the compact part through evaluate_scaled, and the linear
+    part as the matrix of l|V' in V-coordinates (l x already lies in V).
+
     With U = V-perp and U' = (l^-1 V)-perp, f is homotopic rel boundary
     to the product of pr_U l|_U' and the reduced map g = pr_V f|_V', so
 
@@ -518,28 +666,28 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
     the standard ones.  V = {0} (possible only for invertible l with c
     landing near 0) short-circuits to sign(det l).
     """
+    eps = Fraction(epsilon)
+    rmap = _ReducedMap(p, v_basis)
+    miss = verify_miss_condition(p, v_basis, reduced=rmap)
+    if not miss.ok:
+        raise ValueError(
+            "miss condition failed for the chosen subspace; "
+            "enlarge --samples or shrink --epsilon"
+        )
     if p.index() != 0:
         raise ValueError(
             f"degree needs index 0, got index {p.index()}"
         )
-    eps = Fraction(epsilon)
-    miss = verify_miss_condition(p, v_basis)
-    if not miss.ok:
-        raise ValueError(
-            "miss condition fails on samples; V is not admissible"
-        )
-    b_v = _prepared_basis(v_basis)
+    b_v, b_u, b_vprime = rmap.b_v, rmap.b_u, rmap.b_vprime
     v_dim = len(b_v)
     if v_dim == 0:
         d = det([list(r) for r in p.linear_part])
         if d == 0:
             raise ValueError("V = {0} requires invertible linear part")
         return DegreeReport(subspace_V=(), reduced_dim=0,
-                            degree=_sign(d), epsilon=eps)
+                            degree=_sign(d), epsilon=eps, miss=miss)
     if v_dim > 3:
         raise ValueError(f"reduced dimension {v_dim} exceeds 3")
-    b_u = _complement_basis(b_v, p.target_dim)
-    b_vprime = _preimage_basis(p, b_v, b_u)
     if len(b_vprime) != v_dim:
         raise ValueError(
             "V does not span the target together with im(l)"
@@ -558,29 +706,23 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
     s_domain = _sign(_columns_det(b_uprime + b_vprime))
     s_target = _sign(_columns_det(b_u + b_v))
 
-    def g(t):
-        x = [Fraction(0)] * p.domain_dim
-        for tk, b in zip(t, b_vprime):
-            x = vec_add(x, vec_scale(Fraction(tk), b))
-        return _project_coeffs(b_v, p.f(x))
-
     g_radius = Fraction(17, 16) * p.bound_radius
-    deg_g = brouwer_degree(g, v_dim, g_radius)
+    deg_g = brouwer_degree(rmap.g, v_dim, g_radius)
     degree = s_domain * s_target * _sign(det_a) * deg_g
     return DegreeReport(
         subspace_V=tuple(tuple(b) for b in b_v),
         reduced_dim=v_dim,
         degree=degree,
         epsilon=eps,
+        miss=miss,
     )
 
 
 def stability_check(p: ReductionProblem, v_basis, w_basis) -> StabilityVerdict:
     """Degrees computed through V and through a larger W must agree."""
-    b_w = _prepared_basis(w_basis)
+    rows = [_integer_row(b) for b in _prepared_basis(w_basis)]
     for v in v_basis:
-        resid = vec_sub([Fraction(x) for x in v], _project(b_w, v))
-        if vec_dot(resid, resid) != 0:
+        if _residual2(rows, _over_common_denominator(v)[0])[0] != 0:
             raise ValueError("V is not contained in span(W)")
     small = reduce_and_degree(p, v_basis)
     large = reduce_and_degree(p, w_basis)

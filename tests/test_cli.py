@@ -179,10 +179,12 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, compact_part={
          "components": [[["1", [1.9, 0]]], []]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, bound_radius=2)}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
-        "reduce-float-exponent"])
+        "reduce-float-exponent", "reduce-json-number-radius"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong, and
     # floats or bools where integers belong: one swcohom/error/1 line,
@@ -198,6 +200,108 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     doc = json.loads(lines[0])
     assert doc["schema"] == "swcohom/error/1"
     assert doc["error"]["code"] == "parse"
+
+
+# (1 - |x|^2)^2 on R^2 as monomial terms
+_CUTOFF = [["1", [0, 0]], ["-2", [2, 0]], ["-2", [0, 2]],
+           ["1", [4, 0]], ["2", [2, 2]], ["1", [0, 4]]]
+
+GOLDEN_PROBLEMS = {
+    "translation": TRANSLATION_PROBLEM,
+    "complex_square_minus_one": {
+        "domain_dim": 2,
+        "target_dim": 2,
+        "linear_part": [["0", "0"], ["0", "0"]],
+        "compact_part": {"builtin": "complex_square_minus_one"},
+        "bound_radius": "3/2",
+    },
+    # f = L x + (1 - |x|^2)^2 (1, 1 + x0 x1) inside the unit ball, L x outside
+    "piecewise": {
+        "domain_dim": 2,
+        "target_dim": 2,
+        "linear_part": [["2", "1"], ["1", "-1"]],
+        "compact_part": {"pieces": [
+            {"if_norm2_le": "1", "components": [
+                _CUTOFF,
+                _CUTOFF + [[c, [p[0] + 1, p[1] + 1]] for c, p in _CUTOFF],
+            ]},
+            {"if_norm2_le": None, "components": [[], []]},
+        ]},
+        "bound_radius": "1",
+    },
+}
+
+_WORST = {
+    "translation": "1024013577/1024000000",
+    "complex_square_minus_one":
+        "12259284059386460574104377/11832592569282330624000000",
+    "piecewise":
+        "71953275822531017360558886243039406523039359514695090990346571746704"
+        "36410540219236692927930368937/"
+        "77465845353784013481135704072185720355750102473263394231437626708003"
+        "47163947723638876143616000000",
+}
+_V = {
+    "translation": [["1", "0"]],
+    "complex_square_minus_one": [["1", "0"], ["0", "1"]],
+    "piecewise": [["470832/665857", "470832/665857"]],
+}
+_DEGREE = {"translation": 1, "complex_square_minus_one": 2, "piecewise": -1}
+
+
+def _golden_json(name):
+    v_lines = ",\n".join(
+        "    [\n" + ",\n".join(f'      "{x}"' for x in v) + "\n    ]"
+        for v in _V[name])
+    return (
+        "{\n"
+        '  "schema": "swcohom/reduce/1",\n'
+        '  "domain_dim": 2,\n'
+        '  "target_dim": 2,\n'
+        '  "index": 0,\n'
+        '  "epsilon": "1/4",\n'
+        f'  "reduced_dim": {len(_V[name])},\n'
+        '  "subspace_V": [\n'
+        f"{v_lines}\n"
+        "  ],\n"
+        '  "miss": {\n'
+        '    "ok": true,\n'
+        f'    "worst_distance_squared": "{_WORST[name]}",\n'
+        '    "samples_checked": 161\n'
+        "  },\n"
+        f'  "degree": {_DEGREE[name]}\n'
+        "}\n"
+    )
+
+
+def _golden_table(name):
+    return (
+        "schema swcohom/reduce/1\n"
+        "domain_dim 2\n"
+        "target_dim 2\n"
+        "index 0\n"
+        "epsilon 1/4\n"
+        f"reduced_dim {len(_V[name])}\n"
+        f"subspace_V {'; '.join(','.join(v) for v in _V[name])}\n"
+        "miss.ok true\n"
+        f"miss.worst_distance_squared {_WORST[name]}\n"
+        "miss.samples_checked 161\n"
+        f"degree {_DEGREE[name]}\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
+def test_reduce_golden_bytes(capsys, tmp_path, name, fmt):
+    # exact reports, subspace and worst distance included, as recorded
+    # before the reduced map was evaluated in integer arithmetic
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(GOLDEN_PROBLEMS[name]))
+    status, out, err = run(capsys, "--format", fmt, "reduce",
+                           "--problem", str(path))
+    assert (status, err) == (0, "")
+    expected = _golden_json(name) if fmt == "json" else _golden_table(name)
+    assert out == expected
 
 
 def test_epsilon_out_of_range(capsys, tmp_path):

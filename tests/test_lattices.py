@@ -54,8 +54,8 @@ def box_oracle(g, bound):
     radii = [isqrt(int(bound * a_inv[i][i])) + 1 for i in range(g.n)]
     found = set()
     for coords in itertools.product(*(range(-r, r + 1) for r in radii)):
-        v = LatticeVector(coords)
-        if norm_of(g, coords) <= bound and is_characteristic(g, v):
+        if (norm_of(g, coords) <= bound
+                and is_characteristic(g, LatticeVector(coords))):
             found.add(canonical(coords))
     return found
 

@@ -1,15 +1,22 @@
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from problem_factory import random_problem
 from swcohom.reduction import (
+    _HALTON_BASES,
     MissVerdict,
     PiecewisePolynomialMap,
     PolynomialMap,
     ReductionProblem,
+    _complement_basis,
+    _prepared_basis,
+    _preimage_basis,
+    _radical_inverse,
+    _ReducedMap,
     builtin_compact,
     choose_reduction_subspace,
     halton_ball,
@@ -18,7 +25,7 @@ from swcohom.reduction import (
     stability_check,
     verify_miss_condition,
 )
-from swcohom.linalg import vec_dot, vec_sub
+from swcohom.linalg import vec_add, vec_dot, vec_scale, vec_sub
 
 F = Fraction
 
@@ -28,9 +35,96 @@ def identity_problem(dim, compact, radius):
     return ReductionProblem(dim, dim, rows, compact, radius)
 
 
-def in_span(basis, v):
-    from swcohom.reduction import _prepared_basis, _project
+# -- the vector-by-vector path, kept as the oracle ----------------------------
 
+
+def _project(orth_basis, y):
+    out = [F(0)] * len(y)
+    for b in orth_basis:
+        out = vec_add(out, vec_scale(vec_dot(y, b) / vec_dot(b, b), b))
+    return out
+
+
+def _span_samples(basis, radius, count, ambient_dim):
+    if not basis:
+        return [[F(0)] * ambient_dim]
+    dim = len(basis)
+    t_radius = F(17, 16) * F(radius)
+    points = []
+    i = 1
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 16 * count + 8192:
+            break
+        t = [
+            t_radius * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
+            for k in range(dim)
+        ]
+        i += 1
+        x = [F(0)] * len(basis[0])
+        for tk, b in zip(t, basis):
+            x = vec_add(x, vec_scale(tk, b))
+        if vec_dot(x, x) <= F(radius) ** 2:
+            points.append(x)
+    points.append([F(0)] * len(basis[0]))
+    return points
+
+
+def oracle_bases(p, v_basis):
+    b_v = _prepared_basis(v_basis)
+    b_u = _complement_basis(b_v, p.target_dim)
+    return b_v, b_u, _preimage_basis(p, b_v, b_u)
+
+
+def oracle_miss(p, v_basis, samples=160):
+    b_v, b_u, b_vprime = oracle_bases(p, v_basis)
+    points = _span_samples(b_vprime, 2 * p.bound_radius, samples, p.domain_dim)
+    ok = True
+    worst = None
+    for x in points:
+        y = p.f(x)
+        y2 = vec_dot(y, y)
+        pv = _project(b_v, y)
+        perp2 = y2 - vec_dot(pv, pv)
+        if (y2 + F(3, 4)) ** 2 < 4 * perp2:
+            ok = False
+        k = 10 ** 6
+        upper = F(isqrt((perp2.numerator * k * k) // perp2.denominator) + 1, k)
+        dist2_lower = y2 + 1 - 2 * upper
+        if worst is None or dist2_lower < worst:
+            worst = dist2_lower
+    return MissVerdict(ok=ok, worst_distance_squared=worst,
+                       samples_checked=len(points))
+
+
+def oracle_g(p, v_basis):
+    b_v, _, b_vprime = oracle_bases(p, v_basis)
+
+    def g(t):
+        x = [F(0)] * p.domain_dim
+        for tk, b in zip(t, b_vprime):
+            x = vec_add(x, vec_scale(F(tk), b))
+        y = p.f(x)
+        return [vec_dot(y, b) / vec_dot(b, b) for b in b_v]
+    return g
+
+
+def naive_polynomial(m, x):
+    out = []
+    for comp in m.components:
+        total = F(0)
+        for coeff, powers in comp:
+            term = coeff
+            for xi, e in zip(x, powers):
+                for _ in range(e):
+                    term *= F(xi)
+            total += term
+        out.append(total)
+    return out
+
+
+def in_span(basis, v):
     b = _prepared_basis(basis)
     resid = vec_sub([F(x) for x in v], _project(b, v))
     return vec_dot(resid, resid) == 0
@@ -84,6 +178,20 @@ def test_halton_deterministic_and_in_ball():
     assert a == b
     assert all(vec_dot(p, p) <= 4 for p in a)
     assert len({tuple(p) for p in a}) == 40
+
+
+def test_halton_ball_matches_fraction_formula():
+    for dim in (1, 2, 3, 4):
+        r = F(3, 2)
+        expected = [[F(0)] * dim]
+        i = 1
+        while len(expected) < 30:
+            p = [r * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
+                 for k in range(dim)]
+            if vec_dot(p, p) <= r * r:
+                expected.append(p)
+            i += 1
+        assert halton_ball(dim, r, 30) == expected
 
 
 # -- subspace choice ------------------------------------------------------
@@ -144,6 +252,82 @@ def test_miss_ok_on_chosen_subspace_quadratic():
         p, _ = random_problem(rng, 2)
         V = choose_reduction_subspace(p)
         assert verify_miss_condition(p, V).ok
+
+
+def test_miss_verdict_matches_oracle_on_factory_problems():
+    rng = random.Random(404)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            p, _ = random_problem(rng, dim)
+            full = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            for V in (choose_reduction_subspace(p), full[:1], full):
+                assert verify_miss_condition(p, V) == oracle_miss(p, V)
+
+
+def test_miss_verdict_matches_oracle_on_small_and_skew_cases():
+    cases = [
+        # V = {0}: the origin is the only sample point
+        (identity_problem(2, builtin_compact("zero", 2), 2), []),
+        (identity_problem(2, builtin_compact("constant", 2,
+                                              {"vector": [1, 0]}), 4), []),
+        # V smaller than the target, and a problem of index 1
+        (ReductionProblem(2, 2, [[1, 2], [0, 1]],
+                          builtin_compact("complex_square_minus_one", 2), 3),
+         [[1, 1]]),
+        (ReductionProblem(3, 2, [[1, 0, 0], [0, 1, 0]],
+                          builtin_compact("zero", 2), 2), [[1, 0]]),
+    ]
+    for p, V in cases:
+        assert verify_miss_condition(p, V) == oracle_miss(p, V)
+
+
+def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
+    rng = random.Random(405)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            p, _ = random_problem(rng, dim)
+            threshold = p.compact_part.pieces[0][0]
+            for V in (choose_reduction_subspace(p),
+                      [[int(i == j) for j in range(dim)] for i in range(dim)]):
+                rmap = _ReducedMap(p, V)
+                oracle = oracle_g(p, V)
+                k = len(rmap.b_vprime)
+                sides = set()
+                for t in halton_ball(k, 2 * p.bound_radius, 24):
+                    x = [sum((tk * b[j] for tk, b in zip(t, rmap.b_vprime)),
+                             F(0)) for j in range(dim)]
+                    sides.add(vec_dot(x, x) <= threshold)
+                    assert rmap.g(t) == oracle(t)
+                assert sides == {True, False} or k == 0
+
+
+def test_piecewise_threshold_is_inclusive():
+    inside = PolynomialMap(2, [[(F(1), (0, 0))], [(F(2), (1, 0))]])
+    outside = PolynomialMap(2, [[(F(-1), (0, 0))], [(F(3), (0, 1))]])
+    m = PiecewisePolynomialMap([(F(1), inside), (None, outside)])
+    on = [F(3, 5), F(4, 5)]
+    assert m(on) == inside(on) == [1, F(6, 5)]
+    past = [F(3, 5), F(4, 5) + F(1, 10 ** 9)]
+    assert m(past) == outside(past)
+    assert m([0, -1]) == inside([0, -1]) and m([-2, 0]) == outside([-2, 0])
+
+
+def test_polynomial_map_matches_naive_sum():
+    rng = random.Random(406)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        comps = [
+            [(F(rng.randint(-9, 9), rng.randint(1, 12)),
+              tuple(rng.randint(0, 4) for _ in range(dim)))
+             for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        m = PolynomialMap(dim, comps)
+        for _ in range(4):
+            x = [rng.choice([0, rng.randint(-5, 5),
+                             F(rng.randint(-20, 20), rng.randint(1, 30))])
+                 for _ in range(dim)]
+            assert m(x) == naive_polynomial(m, x)
 
 
 # -- degree anchors ------------------------------------------------------------
