@@ -188,6 +188,9 @@ def _run_lattice(opt):
 
 def _run_reduce(opt):
     epsilon = _rational_option("--epsilon", opt["epsilon"])
+    if opt["samples"] < 1:
+        raise CLIError(2, "parse",
+                       f"bad --samples: need at least 1, got {opt['samples']}")
     doc = _load_json(opt["problem"])
     try:
         p = ReductionProblem.from_json(doc)

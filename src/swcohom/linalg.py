@@ -15,7 +15,6 @@ __all__ = [
     "identity",
     "transpose",
     "mat_mul",
-    "mat_vec",
     "vec_dot",
     "vec_add",
     "vec_sub",
@@ -24,7 +23,6 @@ __all__ = [
     "bareiss_leading_minors",
     "rref",
     "nullspace",
-    "solve",
     "invert",
     "gram_schmidt",
     "ldl",
@@ -47,10 +45,6 @@ def transpose(a):
 def mat_mul(a, b):
     bt = transpose(b)
     return [[vec_dot(row, col) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [vec_dot(row, v) for row in a]
 
 
 def vec_dot(u, v):
@@ -158,16 +152,6 @@ def nullspace(a):
             v[c] = -reduced[r][f]
         basis.append(v)
     return basis
-
-
-def solve(a, b):
-    """Unique solution of a square nonsingular system; ValueError otherwise."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [reduced[i][n] for i in range(n)]
 
 
 def invert(a):

@@ -7,8 +7,7 @@ of every value of c; then f restricted to l^-1(V), followed by
 projection to V, carries the same degree as f itself, with an
 orientation correction from the complementary linear part.  This module
 executes that construction in ambient dimension at most 4, reduced
-dimension at most 3, entirely in exact rational arithmetic except for
-the certified interval work inside brouwer_degree.
+dimension at most 3, entirely in exact rational arithmetic.
 
 Bases are handled as lists of vectors (lists of Fractions).  Every basis
 used internally is orthogonalized and rescaled so each vector has

@@ -181,14 +181,19 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
          "components": [[["1", [1.9, 0]]], []]})}),
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, bound_radius=2)}),
+    (["reduce", "--problem", "{problem}", "--samples", "0"],
+     {"problem": TRANSLATION_PROBLEM}),
+    (["reduce", "--problem", "{problem}", "--samples", "-5"],
+     {"problem": TRANSLATION_PROBLEM}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
-        "reduce-float-exponent", "reduce-json-number-radius"])
+        "reduce-float-exponent", "reduce-json-number-radius",
+        "reduce-zero-samples", "reduce-negative-samples"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
-    # zero denominators, JSON numbers where "num/den" strings belong, and
-    # floats or bools where integers belong: one swcohom/error/1 line,
-    # never a traceback
+    # zero denominators, JSON numbers where "num/den" strings belong,
+    # floats or bools where integers belong, and sample counts below 1:
+    # one swcohom/error/1 line, never a traceback
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -329,3 +334,19 @@ def test_module_invocation_roundtrip():
     doc = json.loads(proc.stdout)
     counts = [row["signed_count"] for row in doc["counts"]]
     assert counts == [1, 0]
+
+
+def test_cli_imports_only_the_standard_library():
+    # diff sys.modules around the import: site may already have loaded
+    # third-party modules before it
+    code = ("import sys; before = set(sys.modules); import swcohom.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "swcohom.cli" in added
+    foreign = [m for m in added
+               if m.partition(".")[0] not in sys.stdlib_module_names
+               and m.partition(".")[0] != "swcohom"]
+    assert foreign == []

@@ -1,18 +1,29 @@
-"""Degree tests against two independent oracles.
+"""Degree tests against independent oracles.
 
 For dim 2 the oracle is an exact signed-crossing count of the positive
-x-axis by a finely sampled image polygon: pure rational arithmetic, no
-intervals, no angle accumulation, so it shares nothing with the
-implementation under test.  For linear maps the oracle is the sign of
-the determinant.
+x-axis by a uniformly and finely sampled image polygon, which shares no
+refinement with the implementation under test.  For linear maps the
+oracle is the sign of the determinant.  For dim 3 the oracle is a float
+Van Oosterom-Strackee sum of solid angles over the triangles the exact
+ray count uses: it shares no arithmetic with the count.
 """
 
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from swcohom.degree import brouwer_degree
+from problem_factory import random_problem
+from swcohom.degree import (
+    MAX_RAYS,
+    _closed_surface,
+    _ray_count,
+    _refined_octahedron,
+    brouwer_degree,
+)
 from swcohom.linalg import det
 
 F = Fraction
@@ -183,3 +194,116 @@ def test_invalid_arguments():
         brouwer_degree(lambda x: x, 4, 1)
     with pytest.raises(ValueError):
         brouwer_degree(lambda x: x, 2, 0)
+
+
+# -- dim 3: the closed surface and the ray count ---------------------------
+
+
+def z_squared_minus_one_x3(s):
+    # (z^2 - 1, s x3): zeros at (+-1, 0, 0), degree 2 s
+    return lambda x: [x[0] * x[0] - x[1] * x[1] - 1, 2 * x[0] * x[1],
+                      s * x[2]]
+
+
+def test_closed_surface_pairs_every_edge():
+    accepted, cache = _refined_octahedron(z_squared_minus_one_x3(1), F(2))
+    closed = _closed_surface(accepted, cache)
+    # the refinement is not uniform, so the accepted triangles alone
+    # leave hanging vertices that the closure has to pick up
+    assert len(closed) > len(accepted)
+    edges = Counter((tri[i], tri[(i + 1) % 3])
+                    for tri in closed for i in range(3))
+    assert set(edges.values()) == {1}
+    assert all(edges[(q, p)] == 1 for p, q in edges)
+
+
+def test_dim3_count_does_not_depend_on_the_ray():
+    # a signed permutation of the target keeps every dot product, so the
+    # refinement stays and only the ray moves; at radius 3 the accepted
+    # triangles of (z^3 - 1, x3) leave cracks that some of these rays
+    # pass through
+    def g(x):
+        re = x[0] ** 3 - 3 * x[0] * x[1] ** 2 - 1
+        return [re, 3 * x[0] ** 2 * x[1] - x[1] ** 3, x[2]]
+
+    base = brouwer_degree(g, 3, 3)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            m = [[signs[i] * (j == perm[i]) for j in range(3)]
+                 for i in range(3)]
+            moved = lambda x: [sum(a * y for a, y in zip(row, g(x)))
+                               for row in m]
+            assert brouwer_degree(moved, 3, 3) == det(m) * base
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_vertex_on_first_ray_moves_the_search_on(sign):
+    # the octahedron corner (sign 7/4, 0, 0) maps onto the ray through
+    # (1, 1, 1), which is the first direction tried
+    m = [[sign, 0, 0], [sign, 1, 0], [sign, 0, 1]]
+    g = linear_map(m)
+    _, cache = _refined_octahedron(g, F(1))
+    assert any(tuple(img) == (img[0],) * 3 and img[0] > 0
+               for img in cache.values())
+    assert brouwer_degree(g, 3, 1) == (1 if det(m) > 0 else -1)
+
+
+def _solid_angle(a, b, c):
+    # Van Oosterom-Strackee: tan(Omega/2) = det[a b c] / D
+    a, b, c = ([float(x) for x in v] for v in (a, b, c))
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    na, nb, nc = (math.sqrt(dot(v, v)) for v in (a, b, c))
+    triple = (a[0] * (b[1] * c[2] - b[2] * c[1])
+              - a[1] * (b[0] * c[2] - b[2] * c[0])
+              + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    d = na * nb * nc + dot(a, b) * nc + dot(b, c) * na + dot(c, a) * nb
+    return 2 * math.atan2(triple, d)
+
+
+def assert_solid_angles_agree(g, radius):
+    accepted, cache = _refined_octahedron(g, F(radius))
+    degree = brouwer_degree(g, 3, radius)
+    for triangles in (accepted, _closed_surface(accepted, cache)):
+        total = sum(_solid_angle(*(cache[p] for p in tri))
+                    for tri in triangles)
+        assert abs(total / (4 * math.pi) - degree) < 0.25
+    return degree
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dim3_count_matches_solid_angles_on_z_squared(sign):
+    assert assert_solid_angles_agree(z_squared_minus_one_x3(sign), 2) == 2 * sign
+
+
+def test_dim3_count_matches_solid_angles_on_factory_problems():
+    rng = random.Random(31)
+    for _ in range(8):
+        p, expected = random_problem(rng, 3)
+        assert assert_solid_angles_agree(p.f, p.bound_radius) == expected
+
+
+def test_dim3_count_matches_solid_angles_on_linear_maps():
+    rng = random.Random(37)
+    checked = 0
+    while checked < 6:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        d = det(m)
+        if d == 0:
+            continue
+        assert assert_solid_angles_agree(linear_map(m), 1) == (1 if d > 0 else -1)
+        checked += 1
+
+
+def test_ray_count_refuses_an_image_through_origin():
+    with pytest.raises(ArithmeticError):
+        _ray_count([((1, 0, 0), (-1, 1, 0), (-1, -1, 0))])
+    with pytest.raises(ArithmeticError):
+        _ray_count([((1, 0, 0), (2, 0, 0), (-1, 0, 0))])
+
+
+def test_ray_search_is_capped():
+    # the image vertex (1, k, k^2) blocks the k-th direction
+    rays = [(1, k, k * k) for k in range(1, MAX_RAYS + 1)]
+    with pytest.raises(ArithmeticError):
+        _ray_count([(v, v, v) for v in rays])
+    assert _ray_count([(v, v, v) for v in rays[:-1]]) == 0
