@@ -179,7 +179,9 @@ def _run_lattice(opt):
     if verdict.witness is not None:
         out["witness"] = verdict.witness.to_json()
     out["k"] = donaldson_k(-verdict.min_norm, g.n).k
-    if g.n <= 8:
+    # the characteristic vectors of -I_n have odd coordinates and norm
+    # at least n, so an inadmissible form is never diagonal
+    if verdict.admissible and g.n <= 8:
         basis = diagonal_witness(g)
         if basis is not None:
             out["diagonal_witness"] = [b.to_json() for b in basis]
@@ -260,7 +262,7 @@ def dispatch(config: RunConfig) -> dict:
         return handler(config.options)
     except CLIError:
         raise
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise _domain(str(exc)) from exc
 
 

@@ -265,49 +265,28 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
 
 
 def diagonal_witness(g: GramMatrix, max_rank: int = 8):
-    """A set of n pairwise orthogonal vectors of norm -1, if one exists.
+    """The n pairwise orthogonal vectors of norm -1 when g is diagonal,
+    else None.
 
-    Such a set spans a sublattice with Gram -I_n and determinant of the
-    same absolute value as g, so by unimodularity it is a basis: the form
-    is diagonal.  Returns None when there is no such set (e.g. for an
-    even lattice, which has no norm -1 vectors at all).  Absence is only
-    reported, not turned into a non-diagonality proof.
+    In a definite lattice two norm -1 vectors u != +-v are orthogonal,
+    since Cauchy-Schwarz gives |u.v| < 1.  So the norm -1 shell, taken up
+    to sign, is an orthogonal set of at most n vectors.  It has exactly n
+    when g is diagonal: n of them span a sublattice with Gram -I_n and
+    determinant of the same absolute value as g, so by unimodularity they
+    are a basis.  The shell is returned sorted when it is full, and None
+    otherwise (e.g. for an even lattice, which has no norm -1 vectors).
     """
     _require_valid(g)
     if g.n > max_rank:
         raise ValueError(f"rank {g.n} exceeds the enumeration budget {max_rank}")
     a_rows = [[Fraction(-x) for x in row] for row in g.entries]
     zero_shift = [Fraction(0)] * g.n
-    unit_vectors = []
-    for zz in _fincke_pohst(a_rows, zero_shift, Fraction(1)):
-        if _norm(g, zz) == 1:
-            unit_vectors.append(_canonical_sign(zz))
-    unit_vectors = sorted(set(unit_vectors))
-
-    def pairing(u, v):
-        return sum(
-            ui * gij * vj
-            for i, ui in enumerate(u) if ui
-            for gij, vj in zip(g.entries[i], v)
-        )
-
-    chosen = []
-
-    def extend(start):
-        if len(chosen) == g.n:
-            return True
-        for idx in range(start, len(unit_vectors)):
-            v = unit_vectors[idx]
-            if all(pairing(v, u) == 0 for u in chosen):
-                chosen.append(v)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return [LatticeVector(v) for v in chosen]
-    return None
+    shell = sorted({_canonical_sign(zz)
+                    for zz in _fincke_pohst(a_rows, zero_shift, Fraction(1))
+                    if _norm(g, zz) == 1})
+    if len(shell) != g.n:
+        return None
+    return [LatticeVector(v) for v in shell]
 
 
 def minus_identity(n: int) -> GramMatrix:

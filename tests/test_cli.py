@@ -125,13 +125,30 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_domain_errors_exit_one(capsys):
+# vanishes on a face of the boundary octahedron, so the refinement runs
+# into its budget, which is an ArithmeticError
+FACE_ZERO_PROBLEM = {
+    "domain_dim": 3,
+    "target_dim": 3,
+    "linear_part": [["0", "0", "0"]] * 3,
+    "compact_part": {"components": [
+        [["1", [int(i == j) for j in range(3)]], ["-119/12", [0, 0, 0]]]
+        for i in range(3)
+    ]},
+    "bound_radius": "16",
+}
+
+
+def test_domain_errors_exit_one(capsys, tmp_path):
+    face_zero = tmp_path / "face_zero.json"
+    face_zero.write_text(json.dumps(FACE_ZERO_PROBLEM))
     for argv in (
         ["index", "--c2", "1", "--sigma", "0"],
         ["sharpscan", "--dmin", "9", "--dmax", "3"],
         ["bound", "--d", "2", "--k", "4"],
         ["chamber", "--n", "1", "--angles", "1/2,1"],
         ["dim", "--bplus", "3"],
+        ["reduce", "--problem", str(face_zero)],
     ):
         status, out, err = run(capsys, *argv)
         assert status == 1

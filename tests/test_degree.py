@@ -1,8 +1,9 @@
 """Degree tests against independent oracles.
 
 For dim 2 the oracle is an exact signed-crossing count of the positive
-x-axis by a uniformly and finely sampled image polygon, which shares no
-refinement with the implementation under test.  For linear maps the
+x-axis by a uniformly and finely sampled image polygon, which shares
+neither the refinement nor the ray count with the implementation under
+test.  For linear maps the
 oracle is the sign of the determinant.  For dim 3 the oracle is a float
 Van Oosterom-Strackee sum of solid angles over the triangles the exact
 ray count uses: it shares no arithmetic with the count.
@@ -20,8 +21,10 @@ from problem_factory import random_problem
 from swcohom.degree import (
     MAX_RAYS,
     _closed_surface,
+    _octahedron_faces,
     _ray_count,
-    _refined_octahedron,
+    _refined,
+    _square_segments,
     brouwer_degree,
 )
 from swcohom.linalg import det
@@ -121,8 +124,11 @@ def test_dim2_matches_crossing_oracle_on_mixed_maps():
 
 
 def test_zero_on_dim2_boundary_detected():
-    with pytest.raises(ValueError):
+    # (2, 0) is the midpoint of the right edge, one of the first samples
+    with pytest.raises(ValueError) as exc:
         brouwer_degree(lambda x: [x[0] - 2, x[1]], 2, 2)
+    assert "(2, 0)" in str(exc.value)
+    assert "Fraction(" not in str(exc.value)
 
 
 # -- linear maps vs determinant sign -------------------------------------
@@ -196,6 +202,53 @@ def test_invalid_arguments():
         brouwer_degree(lambda x: x, 2, 0)
 
 
+# -- dim 2: the refined segments and the ray count -------------------------
+
+
+def z_cubed_minus_one(x):
+    return [x[0] ** 3 - 3 * x[0] * x[1] ** 2 - 1,
+            3 * x[0] ** 2 * x[1] - x[1] ** 3]
+
+
+def assert_closed_loop(segments):
+    starts = Counter(p for p, _ in segments)
+    ends = Counter(q for _, q in segments)
+    assert set(starts.values()) == {1}
+    assert starts == ends
+
+
+def segment_lengths(segments):
+    return {abs(p[0] - q[0]) + abs(p[1] - q[1]) for p, q in segments}
+
+
+def test_dim2_segments_close_up_under_uneven_refinement():
+    g = complex_poly([(1, 0), (F(3, 2), 0)])
+    accepted, _ = _refined(g, _square_segments(F(2)))
+    assert len(accepted) == 14
+    assert len(segment_lengths(accepted)) == 3
+    assert_closed_loop(accepted)
+    assert brouwer_degree(g, 2, 2) == 2
+
+
+@pytest.mark.parametrize("radius", [2, 3, 5])
+def test_dim2_segments_close_up_under_even_refinement(radius):
+    accepted, _ = _refined(z_cubed_minus_one, _square_segments(F(radius)))
+    assert len(accepted) == 16
+    assert segment_lengths(accepted) == {F(radius, 2)}
+    assert_closed_loop(accepted)
+    assert brouwer_degree(z_cubed_minus_one, 2, radius) == 3
+
+
+@pytest.mark.parametrize("m", [[[2, -1], [1, 0]], [[0, 1], [1, 0]]])
+def test_dim2_vertex_on_first_ray_moves_the_search_on(m):
+    # both maps send the square corner (1, 1) onto the ray through (1, 1),
+    # which is the first direction tried
+    g = linear_map(m)
+    _, cache = _refined(g, _square_segments(F(1)))
+    assert any(img[0] == img[1] > 0 for img in cache.values())
+    assert brouwer_degree(g, 2, 1) == (1 if det(m) > 0 else -1)
+
+
 # -- dim 3: the closed surface and the ray count ---------------------------
 
 
@@ -206,7 +259,8 @@ def z_squared_minus_one_x3(s):
 
 
 def test_closed_surface_pairs_every_edge():
-    accepted, cache = _refined_octahedron(z_squared_minus_one_x3(1), F(2))
+    accepted, cache = _refined(z_squared_minus_one_x3(1),
+                                _octahedron_faces(7 * F(2) / 4))
     closed = _closed_surface(accepted, cache)
     # the refinement is not uniform, so the accepted triangles alone
     # leave hanging vertices that the closure has to pick up
@@ -242,7 +296,7 @@ def test_vertex_on_first_ray_moves_the_search_on(sign):
     # (1, 1, 1), which is the first direction tried
     m = [[sign, 0, 0], [sign, 1, 0], [sign, 0, 1]]
     g = linear_map(m)
-    _, cache = _refined_octahedron(g, F(1))
+    _, cache = _refined(g, _octahedron_faces(F(7, 4)))
     assert any(tuple(img) == (img[0],) * 3 and img[0] > 0
                for img in cache.values())
     assert brouwer_degree(g, 3, 1) == (1 if det(m) > 0 else -1)
@@ -261,7 +315,7 @@ def _solid_angle(a, b, c):
 
 
 def assert_solid_angles_agree(g, radius):
-    accepted, cache = _refined_octahedron(g, F(radius))
+    accepted, cache = _refined(g, _octahedron_faces(7 * F(radius) / 4))
     degree = brouwer_degree(g, 3, radius)
     for triangles in (accepted, _closed_surface(accepted, cache)):
         total = sum(_solid_angle(*(cache[p] for p in tri))
@@ -299,6 +353,8 @@ def test_ray_count_refuses_an_image_through_origin():
         _ray_count([((1, 0, 0), (-1, 1, 0), (-1, -1, 0))])
     with pytest.raises(ArithmeticError):
         _ray_count([((1, 0, 0), (2, 0, 0), (-1, 0, 0))])
+    with pytest.raises(ArithmeticError):
+        _ray_count([((2, 1), (-4, -2))])
 
 
 def test_ray_search_is_capped():
@@ -307,3 +363,8 @@ def test_ray_search_is_capped():
     with pytest.raises(ArithmeticError):
         _ray_count([(v, v, v) for v in rays])
     assert _ray_count([(v, v, v) for v in rays[:-1]]) == 0
+    # and (1, k) in dimension 2
+    rays = [(1, k) for k in range(1, MAX_RAYS + 1)]
+    with pytest.raises(ArithmeticError):
+        _ray_count([(v, v) for v in rays])
+    assert _ray_count([(v, v) for v in rays[:-1]]) == 0

@@ -29,6 +29,7 @@ from swcohom.lattices import (
     minus_identity,
     validate,
 )
+from swcohom.lattices import _fincke_pohst
 from swcohom.linalg import invert, mat_mul, transpose
 
 
@@ -293,12 +294,76 @@ def definite_forms(draw):
 @given(definite_forms())
 def test_admissible_exactly_when_diagonal(g):
     # Elkies: the minimum reaches the rank only for the diagonal form, so
-    # the coset search and the orthogonal-frame search must agree
+    # the coset search and the norm-1 shell must agree
     assert validate(g).valid
     assert donaldson_admissible(g).admissible == (diagonal_witness(g) is not None)
 
 
 # -- diagonal witness -------------------------------------------------------------
+
+
+def unit_shell(g):
+    # the norm-1 vectors up to sign, sorted
+    a_rows = [[Fraction(-x) for x in row] for row in g.entries]
+    points = _fincke_pohst(a_rows, [Fraction(0)] * g.n, Fraction(1))
+    return sorted({canonical(z) for z in points if norm_of(g, z) == 1})
+
+
+def pairing(g, u, v):
+    return sum(ui * gij * vj
+               for ui, row in zip(u, g.entries) for gij, vj in zip(row, v))
+
+
+def backtracking_oracle(g):
+    """The search diagonal_witness replaced: backtrack over the norm-1
+    shell for n pairwise orthogonal vectors, taken in sorted order."""
+    shell = unit_shell(g)
+    chosen = []
+
+    def extend(start):
+        if len(chosen) == g.n:
+            return True
+        for idx in range(start, len(shell)):
+            v = shell[idx]
+            if all(pairing(g, v, u) == 0 for u in chosen):
+                chosen.append(v)
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return list(chosen) if extend(0) else None
+
+
+def shell_oracle_forms():
+    rng = random.Random(41)
+    bases = ([minus_identity(n) for n in range(1, 9)]
+             + [direct_sum(e8_gram(), minus_identity(k)) if k else e8_gram()
+                for k in range(5)]
+             + [minus_d12_plus(), minus_identity(12)])
+    forms = []
+    for base in bases:
+        forms.append(base)
+        forms.append(conjugate(base, random_unimodular(rng, base.n)))
+    for n in range(1, 9):
+        for _ in range(2):
+            forms.append(conjugate(minus_identity(n), random_unimodular(rng, n)))
+    return forms
+
+
+def test_diagonal_witness_matches_backtracking_oracle():
+    forms = shell_oracle_forms()
+    assert len(forms) == 46
+    for g in forms:
+        shell = unit_shell(g)
+        # Cauchy-Schwarz: distinct norm-1 classes are orthogonal
+        assert all(pairing(g, u, v) == 0
+                   for u, v in itertools.combinations(shell, 2))
+        assert len(shell) <= g.n
+        found = diagonal_witness(g, max_rank=12)
+        expected = backtracking_oracle(g)
+        assert (None if found is None else [v.coords for v in found]) == expected
+        assert (found is not None) == donaldson_admissible(g).admissible
 
 
 def test_diagonal_witness_identity():
