@@ -20,7 +20,7 @@ chamber (angles in (0, pi)) receives the larger count n + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor
 
@@ -88,11 +88,9 @@ class LatitudePath:
         return f"LatitudePath({list(self.breakpoints)})"
 
 
-@dataclass(frozen=True)
-class ChamberCount:
-    point_angle: Fraction        # in units of pi, in (0, 2) minus {1}
-    chamber: str                 # FIRST_HALF or SECOND_HALF
-    signed_count: int
+# point_angle in units of pi, in (0, 2) minus {1}; chamber is FIRST_HALF
+# or SECOND_HALF
+ChamberCount = namedtuple("ChamberCount", "point_angle chamber signed_count")
 
 
 def make_path(n: int, breakpoints=None) -> LatitudePath:

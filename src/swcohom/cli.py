@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chamber import make_path, signed_preimage_count, wall_crossing_jump
 from .divisibility import (
@@ -52,10 +52,7 @@ def _domain(message):
     return CLIError(1, "domain", message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    options: dict
+RunConfig = namedtuple("RunConfig", "subcommand options")
 
 
 def _load_json(path):

@@ -10,7 +10,7 @@ attained and when it is strictly weaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,8 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(namedtuple(
+        "DivisibilityReport",
+        "d k p kappa a_coeffs denominators lower_bound lemma_cokernel_order sharp",
+        defaults=(None, None))):
     """Everything the divisibility bound produces for one pair (d, k).
 
     lower_bound = lcm of the denominators of a(p, 0..kappa) with
@@ -36,15 +38,7 @@ class DivisibilityReport:
     attains it; for larger k both stay None.
     """
 
-    d: int
-    k: int
-    p: int
-    kappa: int
-    a_coeffs: tuple
-    denominators: tuple
-    lower_bound: int
-    lemma_cokernel_order: int | None = None
-    sharp: bool | None = None
+    __slots__ = ()
 
 
 def hurewicz_kernel_order(d: int, k: int) -> int:

@@ -13,7 +13,7 @@ case, and nothing downstream needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .divisibility import DivisibilityReport, k_from_bplus, sw_divisibility_lower_bound
 
@@ -27,31 +27,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FourManifoldData:
+class FourManifoldData(namedtuple("FourManifoldData", "b1 b_plus b_minus c_squared")):
     """Betti data plus the self-intersection of the spin^c determinant class."""
 
-    b1: int
-    b_plus: int
-    b_minus: int
-    c_squared: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("b1", "b_plus", "b_minus"):
-            if getattr(self, name) < 0:
+    def __new__(cls, b1, b_plus, b_minus, c_squared):
+        for name, value in (("b1", b1), ("b_plus", b_plus), ("b_minus", b_minus)):
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        return super().__new__(cls, b1, b_plus, b_minus, c_squared)
 
     @property
     def signature(self) -> int:
         return self.b_plus - self.b_minus
 
 
-@dataclass(frozen=True)
-class DonaldsonVerdict:
-    """Index k = (-c^2 - b2)/8 and whether the inequality -c^2 >= b2 holds."""
-
-    k: int
-    admissible: bool
+# Index k = (-c^2 - b2)/8 and whether the inequality -c^2 >= b2 holds.
+DonaldsonVerdict = namedtuple("DonaldsonVerdict", "k admissible")
 
 
 def dirac_index_d(c_squared: int, signature: int) -> int:

@@ -12,7 +12,7 @@ endpoints are certified with integer square roots, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(namedtuple("GramMatrix", "n entries")):
     """Integer Gram matrix of a rank-n bilinear form.
 
     The constructor checks only shape and integrality; symmetry,
@@ -45,51 +44,41 @@ class GramMatrix:
     must be ints: a float or a bool is refused, never truncated.
     """
 
-    n: int
-    entries: tuple
+    __slots__ = ()
 
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        if n < 1 or any(len(row) != n for row in rows):
+    def __new__(cls, entries):
+        if (not isinstance(entries, (list, tuple)) or not entries
+                or any(not isinstance(row, (list, tuple))
+                       or len(row) != len(entries) for row in entries)):
             raise ValueError("entries must form a nonempty square matrix")
+        rows = tuple(tuple(row) for row in entries)
         for row in rows:
             for x in row:
                 if type(x) is not int:
                     raise ValueError(
                         f"entries must be integers, got {type(x).__name__} {x!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        return super().__new__(cls, len(rows), rows)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes entries only
+        return (self.entries,)
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    coords: tuple
+class LatticeVector(namedtuple("LatticeVector", "coords")):
+    __slots__ = ()
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(x) for x in coords))
-
-    def __neg__(self):
-        return LatticeVector(tuple(-x for x in self.coords))
+    def __new__(cls, coords):
+        return super().__new__(cls, tuple(int(x) for x in coords))
 
     def to_json(self) -> list[int]:
         return list(self.coords)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    valid: bool
-    failure: str | None = None
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    min_norm: int
-    witness: LatticeVector | None
+ValidationResult = namedtuple("ValidationResult", "valid failure", defaults=(None,))
+AdmissibilityVerdict = namedtuple("AdmissibilityVerdict", "admissible min_norm witness")
 
 
 def validate(g: GramMatrix) -> ValidationResult:

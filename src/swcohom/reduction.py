@@ -28,7 +28,7 @@ become Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .degree import brouwer_degree
@@ -266,8 +266,9 @@ def compact_to_json(c):
 # -- the problem ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionProblem:
+class ReductionProblem(namedtuple(
+        "ReductionProblem",
+        "domain_dim target_dim linear_part compact_part bound_radius")):
     """f = linear_part + compact_part on R^domain_dim -> R^target_dim,
     with the author's certificate that |f(x)| >= 1 once |x| >= bound_radius.
 
@@ -275,14 +276,10 @@ class ReductionProblem:
     2 * bound_radius: net construction and boundary work sample there.
     """
 
-    domain_dim: int
-    target_dim: int
-    linear_part: tuple
-    compact_part: object
-    bound_radius: Fraction
+    __slots__ = ()
 
-    def __init__(self, domain_dim, target_dim, linear_part, compact_part,
-                 bound_radius):
+    def __new__(cls, domain_dim, target_dim, linear_part, compact_part,
+                bound_radius):
         if not 1 <= domain_dim <= 4 or not 1 <= target_dim <= 4:
             raise ValueError("dimensions must be between 1 and 4")
         rows = tuple(
@@ -300,11 +297,7 @@ class ReductionProblem:
                 raise ValueError(
                     "compact_part does not cover the ball of radius 2R"
                 )
-        object.__setattr__(self, "domain_dim", domain_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "linear_part", rows)
-        object.__setattr__(self, "compact_part", compact_part)
-        object.__setattr__(self, "bound_radius", r)
+        return super().__new__(cls, domain_dim, target_dim, rows, compact_part, r)
 
     def f(self, x):
         lx = [vec_dot(list(row), list(x)) for row in self.linear_part]
@@ -319,11 +312,22 @@ class ReductionProblem:
             [parse_rational(x) for x in row] for row in obj["linear_part"]
         ]
         domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
+        target_dim = _strict_int(obj["target_dim"], "target_dim")
+        compact = obj["compact_part"]
+        compact_part = compact_from_json(compact, domain_dim)
+        # a polynomial, and every piece, needs one component per target
+        # coordinate; builtins are not checked here
+        if "builtin" not in compact:
+            for piece in compact.get("pieces", [compact]):
+                if len(piece["components"]) != target_dim:
+                    raise ValueError(
+                        f"compact_part needs {target_dim} components, "
+                        f"got {len(piece['components'])}")
         return cls(
             domain_dim=domain_dim,
-            target_dim=_strict_int(obj["target_dim"], "target_dim"),
+            target_dim=target_dim,
             linear_part=linear,
-            compact_part=compact_from_json(obj["compact_part"], domain_dim),
+            compact_part=compact_part,
             bound_radius=parse_rational(obj["bound_radius"]),
         )
 
@@ -339,27 +343,12 @@ class ReductionProblem:
         }
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    subspace_V: tuple
-    reduced_dim: int
-    degree: int
-    epsilon: Fraction
-    miss: MissVerdict
-
-
-@dataclass(frozen=True)
-class MissVerdict:
-    ok: bool
-    worst_distance_squared: Fraction
-    samples_checked: int
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    degree_small: int
-    degree_large: int
-    equal: bool
+DegreeReport = namedtuple(
+    "DegreeReport", "subspace_V reduced_dim degree epsilon miss")
+MissVerdict = namedtuple(
+    "MissVerdict", "ok worst_distance_squared samples_checked")
+StabilityVerdict = namedtuple(
+    "StabilityVerdict", "degree_small degree_large equal")
 
 
 # -- sampling and bases -----------------------------------------------------
@@ -735,15 +724,9 @@ def stability_check(p: ReductionProblem, v_basis, w_basis) -> StabilityVerdict:
 # -- the properness counterexample demo ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ProperDemoReport:
-    N: int
-    literal_spike_norms: tuple
-    literal_unit_ball_hits: tuple
-    corrected_preimage_norms: tuple
-    corrected_value_norms: tuple
-    literal_found_unbounded: bool
-    corrected_found_unbounded: bool
+ProperDemoReport = namedtuple("ProperDemoReport", (
+    "N literal_spike_norms literal_unit_ball_hits corrected_preimage_norms "
+    "corrected_value_norms literal_found_unbounded corrected_found_unbounded"))
 
 
 def _bump(norm2: Fraction) -> Fraction:

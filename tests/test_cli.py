@@ -202,15 +202,28 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
      {"problem": TRANSLATION_PROBLEM}),
     (["reduce", "--problem", "{problem}", "--samples", "-5"],
      {"problem": TRANSLATION_PROBLEM}),
+    (["lattice", "--gram", "{gram}"], {"gram": 1e999}),
+    (["lattice", "--gram", "{gram}"], {"gram": [1, 2]}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "components": [[["1", [1, 0]]]]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={"pieces": [
+         {"if_norm2_le": None, "components": [[["1", [1, 0]]], []]},
+         {"if_norm2_le": None, "components": [[["1", [1, 0]]]]}]})}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
         "reduce-float-exponent", "reduce-json-number-radius",
-        "reduce-zero-samples", "reduce-negative-samples"])
+        "reduce-zero-samples", "reduce-negative-samples",
+        "gram-top-level-number", "gram-number-rows",
+        "reduce-short-components", "reduce-short-piece"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
-    # floats or bools where integers belong, and sample counts below 1:
-    # one swcohom/error/1 line, never a traceback
+    # floats or bools where integers belong, sample counts below 1, and
+    # a Gram matrix or compact part of the wrong shape: one
+    # swcohom/error/1 line naming the input, never a traceback or a
+    # Python internal
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -222,6 +235,9 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     doc = json.loads(lines[0])
     assert doc["schema"] == "swcohom/error/1"
     assert doc["error"]["code"] == "parse"
+    # Python's own TypeError texts ("'float' object is not iterable",
+    # "object of type 'int' has no len()") name no input
+    assert "object" not in doc["error"]["message"]
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -367,3 +383,6 @@ def test_cli_imports_only_the_standard_library():
                if m.partition(".")[0] not in sys.stdlib_module_names
                and m.partition(".")[0] != "swcohom"]
     assert foreign == []
+    # start-up cost: dataclasses pulls in inspect, and with it ast, dis
+    # and tokenize, which no computed value needs
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
