@@ -46,7 +46,6 @@ from .lattices import (
     enumerate_coset_by_norm,
     find_characteristic,
     is_characteristic,
-    min_characteristic_norm,
     minus_identity,
     validate,
 )
@@ -61,7 +60,6 @@ from .reduction import (
     StabilityVerdict,
     builtin_compact,
     choose_reduction_subspace,
-    halton_ball,
     proper_not_bounded_demo,
     reduce_and_degree,
     stability_check,

@@ -75,10 +75,6 @@ class LatitudePath:
     def n(self) -> int:
         return (abs(int(self.total_winding)) - 1) // 2
 
-    @property
-    def orientation(self) -> int:
-        return 1 if self.total_winding > 0 else -1
-
     def reversed(self) -> "LatitudePath":
         return LatitudePath(
             [(1 - t, a) for t, a in reversed(self.breakpoints)]

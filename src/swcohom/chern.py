@@ -5,6 +5,8 @@ K(CP^(d-1)) is Z[xi]/(xi^d) and H*(CP^(d-1); Q) is Q[x]/(x^d).  The
 Chern character sends xi to 1 - exp(x); it is injective, and rationally
 an isomorphism.  The inverse is only ever needed on monomials n x^p,
 where it has the closed form n log(1 - xi)^p, so that is all we model.
+Both rings are truncated series: KClass and HClass are TruncatedSeries
+with d = order, and KClass admits integer coefficients only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .rational import format_rational, parse_rational
 from .series import TruncatedSeries, compose, exp_series, taylor_coefficients_a
 
 __all__ = [
@@ -25,78 +26,40 @@ __all__ = [
 ]
 
 
-class KClass:
+def _integer(c) -> int:
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"non-integer coefficient {c}")
+        return c.numerator
+    if not isinstance(c, int):
+        raise ValueError(f"non-integer coefficient {c!r}")
+    return c
+
+
+class KClass(TruncatedSeries):
     """An element of Z[xi]/(xi^d): integer coefficients, index = power of xi.
 
     Integrality is the defining constraint; rejecting non-integers here is
     what makes the divisibility argument a proof rather than a heuristic.
+    Every coefficient, including each one an inherited ring operation
+    produces, passes the check, so no operation leaves Z silently.
     """
 
-    __slots__ = ("d", "coefficients")
+    __slots__ = ()
+    _coefficient = staticmethod(_integer)
 
-    def __init__(self, d: int, coefficients):
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        coeffs = []
-        for c in coefficients:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient {c}")
-                c = c.numerator
-            elif not isinstance(c, int):
-                raise ValueError(f"non-integer coefficient {c!r}")
-            coeffs.append(c)
-        if len(coeffs) != d:
-            raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KClass is immutable")
+    @property
+    def d(self) -> int:
+        return self.order
 
     @classmethod
     def unit(cls, d: int) -> "KClass":
-        return cls(d, (1,) + (0,) * (d - 1))
-
-    @classmethod
-    def xi(cls, d: int) -> "KClass":
-        coeffs = [0] * d
-        if d > 1:
-            coeffs[1] = 1
-        return cls(d, coeffs)
+        return cls.one(d)
 
     @classmethod
     def from_series(cls, s: TruncatedSeries) -> "KClass":
         """Reinterpret an integral xi-series as a K-class; errors otherwise."""
         return cls(s.order, s.coefficients)
-
-    def _series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.d, self.coefficients)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        if self.d != other.d:
-            raise ValueError(f"d mismatch: {self.d} != {other.d}")
-        return KClass(
-            self.d, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __mul__(self, other: "KClass") -> "KClass":
-        if self.d != other.d:
-            raise ValueError(f"d mismatch: {self.d} != {other.d}")
-        return KClass.from_series(self._series() * other._series())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KClass)
-            and self.d == other.d
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.coefficients))
-
-    def __repr__(self):
-        return f"KClass({self.d}, {list(self.coefficients)})"
 
     def to_json_list(self) -> list[int]:
         return list(self.coefficients)
@@ -106,65 +69,14 @@ class KClass:
         return cls(len(items), items)
 
 
-class HClass:
+class HClass(TruncatedSeries):
     """An element of Q[x]/(x^d): rational coefficients, index = power of x."""
 
-    __slots__ = ("d", "coefficients")
+    __slots__ = ()
 
-    def __init__(self, d: int, coefficients):
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        if len(coeffs) != d:
-            raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HClass is immutable")
-
-    @classmethod
-    def monomial(cls, d: int, p: int, coefficient=1) -> "HClass":
-        coeffs = [Fraction(0)] * d
-        if 0 <= p < d:
-            coeffs[p] = Fraction(coefficient)
-        return cls(d, coeffs)
-
-    def _series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.d, self.coefficients)
-
-    def __add__(self, other: "HClass") -> "HClass":
-        if self.d != other.d:
-            raise ValueError(f"d mismatch: {self.d} != {other.d}")
-        return HClass(
-            self.d, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __mul__(self, other: "HClass") -> "HClass":
-        if self.d != other.d:
-            raise ValueError(f"d mismatch: {self.d} != {other.d}")
-        return HClass(self.d, (self._series() * other._series()).coefficients)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HClass)
-            and self.d == other.d
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.coefficients))
-
-    def __repr__(self):
-        return f"HClass({self.d}, {list(self.coefficients)})"
-
-    def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coefficients]
-
-    @classmethod
-    def from_strings(cls, items) -> "HClass":
-        coeffs = [parse_rational(s) for s in items]
-        return cls(len(coeffs), coeffs)
+    @property
+    def d(self) -> int:
+        return self.order
 
 
 def one_minus_exp(order: int) -> TruncatedSeries:
@@ -174,7 +86,7 @@ def one_minus_exp(order: int) -> TruncatedSeries:
 
 def chern_character(e: KClass) -> HClass:
     """Substitute xi = 1 - exp(x) into the polynomial of ``e``, mod x^d."""
-    image = compose(e._series(), one_minus_exp(e.d))
+    image = compose(e, one_minus_exp(e.d))
     return HClass(e.d, image.coefficients)
 
 

@@ -65,9 +65,16 @@ def _load_json(path):
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # a usage error becomes one swcohom/error/1 document, like any other
+    # parse error; subparsers are built from this class too
+    def error(self, message):
+        raise CLIError(2, "parse", message)
+
+
 def _rational_option(flag, text):
-    # parsed here rather than by argparse, whose type errors are plain
-    # usage messages instead of swcohom/error/1 documents
+    # parsed here rather than by argparse, whose type errors say only
+    # "invalid value" and drop the reason parse_rational gives
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -303,7 +310,7 @@ def _cell(value):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="swcohom",
         description="exact divisibility bounds, definite lattices, "
                     "finite-dimensional degree reductions",
@@ -350,13 +357,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("subcommand", "format")}
-    config = RunConfig(subcommand=args.subcommand, options=options)
     try:
-        report = dispatch(config)
+        args = _build_parser().parse_args(argv)
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("subcommand", "format")}
+        report = dispatch(RunConfig(subcommand=args.subcommand, options=options))
     except CLIError as exc:
         doc = {
             "schema": "swcohom/error/1",

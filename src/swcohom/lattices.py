@@ -27,7 +27,6 @@ __all__ = [
     "is_characteristic",
     "find_characteristic",
     "enumerate_coset_by_norm",
-    "min_characteristic_norm",
     "donaldson_admissible",
     "diagonal_witness",
     "minus_identity",
@@ -220,15 +219,6 @@ def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
         results.append((norm, coords))
     results.sort()
     return [LatticeVector(coords) for _, coords in results]
-
-
-def min_characteristic_norm(g: GramMatrix) -> int:
-    """Minimum of -c^2 over all characteristic vectors c.
-
-    Equal to donaldson_admissible(g).min_norm; see there for why one
-    enumeration at bound rank - 8 decides it.
-    """
-    return donaldson_admissible(g).min_norm
 
 
 def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:

@@ -53,7 +53,6 @@ __all__ = [
     "ProperDemoReport",
     "builtin_compact",
     "compact_from_json",
-    "halton_ball",
     "choose_reduction_subspace",
     "verify_miss_condition",
     "reduce_and_degree",
@@ -226,29 +225,45 @@ def builtin_compact(name, dim, params=None):
     return m
 
 
+def _expect(x, kind, what):
+    # a JSON string iterates like a list and has "in"; refuse it, and any
+    # other type, wherever the format needs a list or a dict
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _polynomial_from_json(components, input_dim):
+    comps = []
+    for comp in _expect(components, list, "components"):
+        terms = []
+        for term in _expect(comp, list, "a component"):
+            if type(term) is not list or len(term) != 2 or type(term[1]) is not list:
+                raise ValueError(
+                    f'a term must be ["num/den", [exponents]], got {term!r}')
+            terms.append((parse_rational(term[0]), tuple(term[1])))
+        comps.append(terms)
+    return PolynomialMap(input_dim, comps)
+
+
 def compact_from_json(obj, input_dim):
+    _expect(obj, dict, "compact_part")
     if "builtin" in obj:
         params = {k: v for k, v in obj.items() if k != "builtin"}
         if "vector" in params:
-            params["vector"] = [parse_rational(v) for v in params["vector"]]
+            params["vector"] = [
+                parse_rational(v) for v in _expect(params["vector"], list, "vector")]
         return builtin_compact(obj["builtin"], input_dim, params)
     if "pieces" in obj:
         pieces = []
-        for piece in obj["pieces"]:
-            t = piece.get("if_norm2_le")
+        for piece in _expect(obj["pieces"], list, "pieces"):
+            t = _expect(piece, dict, "a piece").get("if_norm2_le")
             threshold = None if t is None else parse_rational(t)
-            comps = [
-                [(parse_rational(c), tuple(p)) for c, p in comp]
-                for comp in piece["components"]
-            ]
-            pieces.append((threshold, PolynomialMap(input_dim, comps)))
+            pieces.append(
+                (threshold, _polynomial_from_json(piece["components"], input_dim)))
         return PiecewisePolynomialMap(pieces)
     if "components" in obj:
-        comps = [
-            [(parse_rational(c), tuple(p)) for c, p in comp]
-            for comp in obj["components"]
-        ]
-        return PolynomialMap(input_dim, comps)
+        return _polynomial_from_json(obj["components"], input_dim)
     raise ValueError("compact_part must give a builtin, pieces, or components")
 
 
@@ -308,21 +323,24 @@ class ReductionProblem(namedtuple(
 
     @classmethod
     def from_json(cls, obj) -> "ReductionProblem":
+        _expect(obj, dict, "the top level")
         linear = [
-            [parse_rational(x) for x in row] for row in obj["linear_part"]
+            [parse_rational(x) for x in _expect(row, list, "a linear_part row")]
+            for row in _expect(obj["linear_part"], list, "linear_part")
         ]
         domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
         target_dim = _strict_int(obj["target_dim"], "target_dim")
-        compact = obj["compact_part"]
-        compact_part = compact_from_json(compact, domain_dim)
-        # a polynomial, and every piece, needs one component per target
-        # coordinate; builtins are not checked here
-        if "builtin" not in compact:
-            for piece in compact.get("pieces", [compact]):
-                if len(piece["components"]) != target_dim:
-                    raise ValueError(
-                        f"compact_part needs {target_dim} components, "
-                        f"got {len(piece['components'])}")
+        compact_part = compact_from_json(obj["compact_part"], domain_dim)
+        # a polynomial, every piece and every builtin needs one component
+        # per target coordinate
+        polys = ([poly for _, poly in compact_part.pieces]
+                 if isinstance(compact_part, PiecewisePolynomialMap)
+                 else [compact_part])
+        for poly in polys:
+            if len(poly.components) != target_dim:
+                raise ValueError(
+                    f"compact_part needs {target_dim} components, "
+                    f"got {len(poly.components)}")
         return cls(
             domain_dim=domain_dim,
             target_dim=target_dim,
@@ -354,6 +372,7 @@ StabilityVerdict = namedtuple(
 # -- sampling and bases -----------------------------------------------------
 
 _HALTON_BASES = (2, 3, 5, 7)
+_HALTON_ATTEMPTS = 8192
 
 
 def _radical_inverse(i: int, base: int) -> Fraction:
@@ -375,27 +394,21 @@ def _halton_point(i: int, dim: int, half_width: Fraction):
     return T, s * half_width.denominator
 
 
-def _halton_ball_scaled(dim: int, radius, count: int, max_attempts: int = 8192):
-    # halton_ball's points as integers (X, S), x = X / S
+def _halton_ball_scaled(dim: int, radius, count: int):
+    """The origin, then the first ``count - 1`` Halton cube points that
+    land in the ball, as integers (X, S) with x = X / S; deterministic.
+    """
     r = Fraction(radius)
     points = [([0] * dim, 1)]
     i = 1
     while len(points) < count:
-        if i > max_attempts:
+        if i > _HALTON_ATTEMPTS:
             raise ValueError("sampling budget exceeded")
         X, S = _halton_point(i, dim, r)
         if _int_dot(X, X) * r.denominator ** 2 <= r.numerator ** 2 * S * S:
             points.append((X, S))
         i += 1
     return points
-
-
-def halton_ball(dim: int, radius, count: int, max_attempts: int = 8192):
-    """First ``count`` Halton cube points that land in the ball, exact
-    rational coordinates, deterministic.  Always includes the origin.
-    """
-    return [[Fraction(x, S) for x in X]
-            for X, S in _halton_ball_scaled(dim, radius, count, max_attempts)]
 
 
 def _unit_rescale(v):

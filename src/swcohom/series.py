@@ -42,15 +42,19 @@ class TruncatedSeries:
     Immutable; coefficients are stored as a tuple of Fractions of length
     exactly ``order`` (Fraction keeps them canonical: positive denominator,
     coprime).  Operations between series of different orders raise
-    ValueError.
+    ValueError.  Ring operations return the type of their left operand,
+    so a subclass that narrows ``_coefficient``, which every coefficient
+    passes through, keeps its ring closed or raises.
     """
 
     __slots__ = ("order", "coefficients")
 
+    _coefficient = Fraction
+
     def __init__(self, order: int, coefficients):
         if order < 1:
             raise ValueError(f"order must be a positive integer, got {order}")
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(map(self._coefficient, coefficients))
         if len(coeffs) != order:
             raise ValueError(
                 f"expected {order} coefficients, got {len(coeffs)}"
@@ -59,7 +63,7 @@ class TruncatedSeries:
         object.__setattr__(self, "coefficients", coeffs)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -98,20 +102,20 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
+        return type(self)(
             self.order,
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
+        return type(self)(
             self.order,
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, tuple(-a for a in self.coefficients))
+        return type(self)(self.order, tuple(-a for a in self.coefficients))
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -127,30 +131,17 @@ class TruncatedSeries:
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
-        return TruncatedSeries(n, out)
+        return type(self)(n, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncatedSeries":
         c = Fraction(c)
-        return TruncatedSeries(self.order, tuple(c * a for a in self.coefficients))
-
-    def __pow__(self, p: int) -> "TruncatedSeries":
-        # binary exponentiation
-        if p < 0:
-            raise ValueError("negative powers are not defined here")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return result
+        return type(self)(self.order, tuple(c * a for a in self.coefficients))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, TruncatedSeries)
+            type(other) is type(self)
             and self.order == other.order
             and self.coefficients == other.coefficients
         )
@@ -159,7 +150,7 @@ class TruncatedSeries:
         return hash((self.order, self.coefficients))
 
     def __repr__(self):
-        return f"TruncatedSeries({self.order}, {list(self.coefficients)})"
+        return f"{type(self).__name__}({self.order}, {list(self.coefficients)})"
 
     # -- accessors & serialization -------------------------------------
 

@@ -54,6 +54,40 @@ def test_json_roundtrips():
     assert HClass.from_strings(h.to_strings()) == h
 
 
+# the three classes share one ring implementation: each operation keeps
+# the class of its left operand, and KClass checks every coefficient
+@pytest.mark.parametrize("cls, coefficient_type, half_xi, one_repr", [
+    (KClass, int, ValueError, "KClass(3, [1, 0, 0])"),
+    (HClass, Fraction, HClass(3, [0, F(1, 2), 0]),
+     "HClass(3, [Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)])"),
+    (TruncatedSeries, Fraction, TruncatedSeries(3, [0, F(1, 2), 0]),
+     "TruncatedSeries(3, [Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)])"),
+])
+def test_merged_ring_keeps_each_class(cls, coefficient_type, half_xi, one_repr):
+    one, xi = cls.one(3), cls.xi(3)
+    for value in (one + xi, one - xi, -xi, xi * xi, 2 * xi, xi * 2,
+                  xi.scale(3), cls.monomial(3, 2, 5)):
+        assert type(value) is cls
+        assert {type(c) for c in value.coefficients} == {coefficient_type}
+    assert xi * xi == cls(3, [0, 0, 1])
+    if half_xi is ValueError:
+        with pytest.raises(ValueError):
+            xi.scale(F(1, 2))
+    else:
+        assert xi.scale(F(1, 2)) == half_xi
+    for other in {KClass, HClass, TruncatedSeries} - {cls}:
+        assert cls(2, [1, 0]) != other(2, [1, 0])
+    assert cls(2, [1, 0]) == cls(2, [1, 0])
+    assert hash(cls(2, [1, 0])) == hash(cls(2, [1, 0]))
+    assert repr(one) == one_repr
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        one.order = 4
+    with pytest.raises(ValueError, match="order mismatch"):
+        one + cls.one(2)
+    if cls is not TruncatedSeries:
+        assert one.d == one.order == 3
+
+
 # -- chern_character ------------------------------------------------------
 
 

@@ -211,19 +211,41 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
      {"problem": dict(TRANSLATION_PROBLEM, compact_part={"pieces": [
          {"if_norm2_le": None, "components": [[["1", [1, 0]]], []]},
          {"if_norm2_le": None, "components": [[["1", [1, 0]]]]}]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part="builtin")}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={"pieces": [3]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": "constant", "vector": "12"})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, linear_part=["10", "01"])}),
+    (["reduce", "--problem", "{problem}"], {"problem": [1, 2]}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": "constant", "vector": ["1"]})}),
+    (["bound", "--d", "x", "--k", "2"], {}),
+    (["reduce"], {}),
+    (["frobnicate"], {}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
         "reduce-float-exponent", "reduce-json-number-radius",
         "reduce-zero-samples", "reduce-negative-samples",
         "gram-top-level-number", "gram-number-rows",
-        "reduce-short-components", "reduce-short-piece"])
+        "reduce-short-components", "reduce-short-piece",
+        "reduce-string-compact-part", "reduce-number-piece",
+        "reduce-string-vector", "reduce-string-rows",
+        "reduce-top-level-list", "reduce-short-constant",
+        "usage-non-integer-option", "usage-missing-option",
+        "usage-unknown-subcommand"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
-    # floats or bools where integers belong, sample counts below 1, and
-    # a Gram matrix or compact part of the wrong shape: one
-    # swcohom/error/1 line naming the input, never a traceback or a
-    # Python internal
+    # floats or bools where integers belong, sample counts below 1, a
+    # Gram matrix or compact part of the wrong shape, a JSON value of
+    # the wrong type, and a command line argparse refuses: one
+    # swcohom/error/1 line naming the input, never a traceback, usage
+    # text or a Python internal
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -236,8 +258,10 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     assert doc["schema"] == "swcohom/error/1"
     assert doc["error"]["code"] == "parse"
     # Python's own TypeError texts ("'float' object is not iterable",
-    # "object of type 'int' has no len()") name no input
-    assert "object" not in doc["error"]["message"]
+    # "object of type 'int' has no len()", "list indices must be
+    # integers or slices, not str") name no input
+    message = doc["error"]["message"]
+    assert "object" not in message and "indices" not in message
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -349,12 +373,6 @@ def test_epsilon_out_of_range(capsys, tmp_path):
                          "--epsilon", "1/3")
     assert status == 1
     assert json.loads(err)["error"]["code"] == "domain"
-
-
-def test_unknown_subcommand_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
 
 
 def test_module_invocation_roundtrip():

@@ -25,7 +25,6 @@ from swcohom.lattices import (
     enumerate_coset_by_norm,
     find_characteristic,
     is_characteristic,
-    min_characteristic_norm,
     minus_identity,
     validate,
 )
@@ -228,18 +227,18 @@ def test_enumeration_matches_box_oracle():
 
 def test_min_norm_diagonal_and_e8():
     for n in range(1, 9):
-        assert min_characteristic_norm(minus_identity(n)) == n
-    assert min_characteristic_norm(e8_gram()) == 0
+        assert donaldson_admissible(minus_identity(n)).min_norm == n
+    assert donaldson_admissible(e8_gram()).min_norm == 0
 
 
 def test_min_norm_unimodular_invariance():
     rng = random.Random(3)
     for n in (1, 2, 3, 4):
         g = minus_identity(n)
-        base = min_characteristic_norm(g)
+        base = donaldson_admissible(g).min_norm
         for _ in range(4):
             h = conjugate(g, random_unimodular(rng, n))
-            assert min_characteristic_norm(h) == base
+            assert donaldson_admissible(h).min_norm == base
 
 
 def test_admissibility_verdicts():
@@ -263,7 +262,6 @@ def test_admissibility_matches_doubling_oracle():
         assert validate(g).valid
         expected = doubling_oracle(g)
         assert donaldson_admissible(g) == expected, g.entries
-        assert min_characteristic_norm(g) == expected.min_norm
 
 
 def test_admissibility_beyond_the_doubling_search():

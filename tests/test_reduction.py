@@ -13,13 +13,13 @@ from swcohom.reduction import (
     PolynomialMap,
     ReductionProblem,
     _complement_basis,
+    _halton_ball_scaled,
     _prepared_basis,
     _preimage_basis,
     _radical_inverse,
     _ReducedMap,
     builtin_compact,
     choose_reduction_subspace,
-    halton_ball,
     proper_not_bounded_demo,
     reduce_and_degree,
     stability_check,
@@ -28,6 +28,11 @@ from swcohom.reduction import (
 from swcohom.linalg import vec_add, vec_dot, vec_scale, vec_sub
 
 F = Fraction
+
+
+def halton_ball(dim, radius, count):
+    return [[F(x, S) for x in X]
+            for X, S in _halton_ball_scaled(dim, radius, count)]
 
 
 def identity_problem(dim, compact, radius):
