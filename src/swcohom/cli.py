@@ -200,7 +200,10 @@ def _run_reduce(opt):
     doc = _load_json(opt["problem"])
     try:
         p = ReductionProblem.from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise CLIError(2, "parse",
+                       f"bad reduction problem: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad reduction problem: {exc}") from exc
     v_basis = choose_reduction_subspace(p, epsilon, opt["samples"])
     report = reduce_and_degree(p, v_basis, epsilon)

@@ -5,16 +5,23 @@ an octahedron) so every sample point has exact rational coordinates, and
 polynomial evaluators return exact rational images.  In dimensions 2
 and 3 one loop refines the boundary cells (the segments of the square,
 the triangles of the octahedron) until the images of the two ends of
-every cell edge have a positive dot product, within one budget of
-MAX_CELLS cells.  The degree is then an integer count over the image of
-the refined boundary: the sign change between the two endpoints in
-dimension 1, and in dimensions 2 and 3 the signed number of image cells
-met by one ray from 0, after the hanging vertices of the dimension-3
-surface are closed (Stenger, Numer. Math. 25, 1975; Kearfott, Numer.
-Math. 32, 1979).  No floating point and no interval arithmetic is
-involved.  The boundary between two samples is not certified: the
-count is the degree of the piecewise-linear boundary through the
-sampled images.
+every cell edge have a positive dot product.  Every boundary vertex is
+an integer vector P on one dyadic grid, the point P u with
+u = side / 2^MAX_DEPTH, so midpoints (P + Q) / 2 are exact integer
+vectors as long as no cell is split more than MAX_DEPTH = 24 times; the
+image cache and the table of split edges are keyed by integer tuples,
+and g alone sees the Fraction point P u.  Two budgets end the
+refinement with an ArithmeticError: MAX_CELLS = 4096 cells in all, and
+MAX_DEPTH splits of one cell, which a zero of the map at a non-dyadic
+point of the boundary reaches after a few evaluations per level.  The
+degree is then an integer count over the image of the refined boundary:
+the sign change between the two endpoints in dimension 1, and in
+dimensions 2 and 3 the signed number of image cells met by one ray from
+0, after the hanging vertices of the dimension-3 surface are closed
+(Stenger, Numer. Math. 25, 1975; Kearfott, Numer. Math. 32, 1979).  No
+floating point and no interval arithmetic is involved.  The boundary
+between two samples is not certified: the count is the degree of the
+piecewise-linear boundary through the sampled images.
 
 Callers promise that all zeros of the map lie strictly inside the
 Euclidean ball of the given radius and that none lie between that sphere
@@ -35,6 +42,9 @@ __all__ = ["brouwer_degree"]
 # refinement stops once image steps subtend less than a right angle; this
 # cap on the cells of one refinement bounds the work before giving up
 MAX_CELLS = 1 << 12
+# no cell is split more often than this, so every vertex stays on the
+# integer grid of step side / 2^MAX_DEPTH
+MAX_DEPTH = 24
 # directions (1, k) or (1, k, k^2) tried by the ray count; each image cell
 # rules out at most six of them
 MAX_RAYS = 64
@@ -43,7 +53,7 @@ MAX_RAYS = 64
 def _evaluate(g, point):
     """A positive integer multiple of g(point): it spans the same ray, so
     every sign the degree count reads is unchanged."""
-    image = [Fraction(y) for y in g(list(point))]
+    image = [Fraction(y) for y in g(point)]
     if not any(image):
         coords = ", ".join(format_rational(x) for x in point)
         raise ValueError(f"map vanishes on the boundary at ({coords})")
@@ -52,96 +62,109 @@ def _evaluate(g, point):
 
 
 def _degree_dim1(g, radius: Fraction) -> int:
-    left = _evaluate(g, (-radius,))[0]
-    right = _evaluate(g, (radius,))[0]
+    left = _evaluate(g, [-radius])[0]
+    right = _evaluate(g, [radius])[0]
     sign = lambda v: (v > 0) - (v < 0)
     return (sign(right) - sign(left)) // 2
 
 
-def _midpoint(p, q):
-    return tuple((a + b) / 2 for a, b in zip(p, q))
-
-
-def _square_segments(r: Fraction):
-    # corners and edge midpoints of the square, counterclockwise
-    corners = [(r, -r), (r, r), (-r, r), (-r, -r)]
-    points = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        points += [a, _midpoint(a, b)]
+def _square_segments():
+    # corners and edge midpoints of the square [-1, 1]^2 in grid units,
+    # counterclockwise
+    s = 1 << MAX_DEPTH
+    points = [(s, -s), (s, 0), (s, s), (0, s),
+              (-s, s), (-s, 0), (-s, -s), (0, -s)]
     return list(zip(points, points[1:] + points[:1]))
 
 
-def _octahedron_faces(radius_l1: Fraction):
-    zero = Fraction(0)
+def _octahedron_faces():
+    # faces of the octahedron of L1-radius 1 in grid units
+    s = 1 << MAX_DEPTH
     faces = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                a = (s1 * radius_l1, zero, zero)
-                b = (zero, s2 * radius_l1, zero)
-                c = (zero, zero, s3 * radius_l1)
+    for s1 in (s, -s):
+        for s2 in (s, -s):
+            for s3 in (s, -s):
+                a, b, c = (s1, 0, 0), (0, s2, 0), (0, 0, s3)
                 # outward orientation: det[a b c] = s1 s2 s3 must be > 0
-                if s1 * s2 * s3 > 0:
-                    faces.append((a, b, c))
-                else:
-                    faces.append((a, c, b))
+                faces.append((a, b, c) if s1 * s2 * s3 > 0 else (a, c, b))
     return faces
 
 
-def _split(cell):
+def _midpoint(p, q, midpoints):
+    # exact while the edge has been split fewer than MAX_DEPTH times
+    m = tuple((x + y) >> 1 for x, y in zip(p, q))
+    midpoints[(p, q) if p < q else (q, p)] = m
+    return m
+
+
+def _split(cell, midpoints):
+    """Halves of a segment or quarters of a triangle; the midpoint of
+    each split edge goes into ``midpoints`` under its unordered ends."""
     if len(cell) == 2:
         a, b = cell
-        m = _midpoint(a, b)
+        m = _midpoint(a, b, midpoints)
         return [(a, m), (m, b)]
     a, b, c = cell
-    mab, mbc, mca = _midpoint(a, b), _midpoint(b, c), _midpoint(c, a)
+    mab = _midpoint(a, b, midpoints)
+    mbc = _midpoint(b, c, midpoints)
+    mca = _midpoint(c, a, midpoints)
     return [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
 
 
-def _refined(g, cells):
-    """Accepted cells of the adaptive split, and the image of every
-    vertex the split evaluated.
+def _budget_exceeded():
+    return ArithmeticError(
+        "boundary refinement budget exceeded; map may vanish on or near "
+        "the boundary"
+    )
 
-    A cell (a segment or a triangle) is accepted when the images of the
-    two ends of each of its edges have a positive dot product, and split
-    in two or in four otherwise.
+
+def _refined(g, cells, unit: Fraction):
+    """Accepted cells of the adaptive split, the image of every vertex
+    the split evaluated, and the midpoint of every split edge.
+
+    Cells are segments or triangles of integer vertices P, and g is
+    evaluated at the point P * unit.  A cell is accepted when the images
+    of the two ends of each of its edges have a positive dot product,
+    and split in two or in four otherwise.  The split is depth first,
+    within MAX_CELLS cells and MAX_DEPTH splits of any one cell.
     """
+    num, den = unit.numerator, unit.denominator
     cache = {}
+    midpoints = {}
 
     def image(p):
         if p not in cache:
-            cache[p] = _evaluate(g, p)
+            cache[p] = _evaluate(g, [Fraction(x * num, den) for x in p])
         return cache[p]
 
-    pending = list(cells)
+    pending = [(cell, 0) for cell in cells]
     accepted = []
     while pending:
         if len(pending) + len(accepted) > MAX_CELLS:
-            raise ArithmeticError(
-                "boundary refinement budget exceeded; map may vanish on "
-                "or near the boundary"
-            )
-        cell = pending.pop()
+            raise _budget_exceeded()
+        cell, depth = pending.pop()
         images = [image(p) for p in cell]
         if all(_dot(u, v) > 0 for u, v in combinations(images, 2)):
             accepted.append(cell)
+        elif depth == MAX_DEPTH:
+            raise _budget_exceeded()
         else:
-            pending.extend(_split(cell))
-    return accepted, cache
+            pending.extend((c, depth + 1) for c in _split(cell, midpoints))
+    return accepted, cache, midpoints
 
 
-def _closed_surface(accepted, cache):
+def _closed_surface(accepted, midpoints):
     """Triangles of a closed surface through the accepted triangles.
 
     Each triangle was split on its own, so a coarser triangle meets the
     split side of an edge at hanging vertices.  An edge (p, q) is walked
-    through _midpoint(p, q) while that midpoint was evaluated, which
-    gives the vertices the neighbour put on it, and the polygon around
-    each accepted triangle is fanned from its first corner.
+    through its midpoint while it was split, which gives the vertices
+    the neighbour put on it, and the polygon around each accepted
+    triangle is fanned from its first corner.
     """
     def chain(p, q):
-        m = _midpoint(p, q)
-        if m not in cache:
+        m = midpoints.get((p, q) if p < q else (q, p))
+        if m is None:
             return [p]
         return chain(p, m) + chain(m, q)
 
@@ -241,7 +264,9 @@ def brouwer_degree(g, dim: int, radius) -> int:
     must be nonvanishing on the enclosing boundary polytope.  dim 1 is a
     sign comparison at the two endpoints.  In dims 2 and 3 one loop
     refines the segments of the square or the triangles of the octahedron
-    within MAX_CELLS cells, the dim-3 surface is closed at its hanging
+    on an integer grid of step side / 2^MAX_DEPTH, within MAX_CELLS = 4096
+    cells and MAX_DEPTH = 24 splits of any one cell (either budget raises
+    ArithmeticError), the dim-3 surface is closed at its hanging
     vertices, and the degree is the signed count of image cells met by a
     ray from 0.  All are exact integer counts; the boundary between
     samples is not certified.
@@ -252,11 +277,13 @@ def brouwer_degree(g, dim: int, radius) -> int:
     if dim == 1:
         return _degree_dim1(g, r)
     if dim == 2:
-        accepted, cache = _refined(g, _square_segments(r))
+        cells, side = _square_segments(), r
     elif dim == 3:
         # octahedron of L1-radius 7r/4 circumscribes the Euclidean r-ball
-        accepted, cache = _refined(g, _octahedron_faces(7 * r / 4))
-        accepted = _closed_surface(accepted, cache)
+        cells, side = _octahedron_faces(), 7 * r / 4
     else:
         raise ValueError(f"degree computation supports dim 1..3, got {dim}")
+    accepted, cache, midpoints = _refined(g, cells, side / (1 << MAX_DEPTH))
+    if dim == 3:
+        accepted = _closed_surface(accepted, midpoints)
     return _ray_count([tuple(cache[p] for p in cell) for cell in accepted])

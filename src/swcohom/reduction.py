@@ -196,13 +196,14 @@ class PiecewisePolynomialMap:
         }
 
 
-def builtin_compact(name, dim, params=None):
-    """Registered compact parts: "zero", "constant" (takes a vector),
-    and "complex_square_minus_one" (z^2 - 1 on R^2).
+def builtin_compact(name, dim, params=None, target_dim=None):
+    """Registered compact parts on R^dim: "zero" (to R^target_dim,
+    R^dim when not given), "constant" (takes a vector), and
+    "complex_square_minus_one" (z^2 - 1 on R^2).
     """
     params = params or {}
     if name == "zero":
-        m = PolynomialMap(dim, [[] for _ in range(dim)])
+        m = PolynomialMap(dim, [[] for _ in range(target_dim or dim)])
     elif name == "constant":
         vector = [Fraction(v) for v in params["vector"]]
         m = PolynomialMap(
@@ -246,14 +247,14 @@ def _polynomial_from_json(components, input_dim):
     return PolynomialMap(input_dim, comps)
 
 
-def compact_from_json(obj, input_dim):
+def compact_from_json(obj, input_dim, target_dim):
     _expect(obj, dict, "compact_part")
     if "builtin" in obj:
         params = {k: v for k, v in obj.items() if k != "builtin"}
         if "vector" in params:
             params["vector"] = [
                 parse_rational(v) for v in _expect(params["vector"], list, "vector")]
-        return builtin_compact(obj["builtin"], input_dim, params)
+        return builtin_compact(obj["builtin"], input_dim, params, target_dim)
     if "pieces" in obj:
         pieces = []
         for piece in _expect(obj["pieces"], list, "pieces"):
@@ -330,7 +331,8 @@ class ReductionProblem(namedtuple(
         ]
         domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
         target_dim = _strict_int(obj["target_dim"], "target_dim")
-        compact_part = compact_from_json(obj["compact_part"], domain_dim)
+        compact_part = compact_from_json(obj["compact_part"], domain_dim,
+                                         target_dim)
         # a polynomial, every piece and every builtin needs one component
         # per target coordinate
         polys = ([poly for _, poly in compact_part.pieces]
@@ -375,22 +377,27 @@ _HALTON_BASES = (2, 3, 5, 7)
 _HALTON_ATTEMPTS = 8192
 
 
-def _radical_inverse(i: int, base: int) -> Fraction:
+def _radical_inverse(i: int, base: int):
+    """The radical inverse of i in ``base`` as integers (num, base^k).
+
+    For i >= 1 the last digit added to num is the leading digit of i, so
+    num is prime to a prime base and num / base^k is in lowest terms.
+    """
     num, denom = 0, 1
     while i:
         num = num * base + (i % base)
         denom *= base
         i //= base
-    return Fraction(num, denom)
+    return num, denom
 
 
 def _halton_point(i: int, dim: int, half_width: Fraction):
     # the i-th Halton point of the cube [-w, w]^dim, t_k = w (2 h_k - 1),
     # as integers T over one denominator s
     h = [_radical_inverse(i, base) for base in _HALTON_BASES[:dim]]
-    s = math.prod(q.denominator for q in h)
-    T = [half_width.numerator * (2 * q.numerator - q.denominator)
-         * (s // q.denominator) for q in h]
+    s = math.prod(denom for _, denom in h)
+    T = [half_width.numerator * (2 * num - denom) * (s // denom)
+         for num, denom in h]
     return T, s * half_width.denominator
 
 

@@ -42,7 +42,8 @@ class TruncatedSeries:
     Immutable; coefficients are stored as a tuple of Fractions of length
     exactly ``order`` (Fraction keeps them canonical: positive denominator,
     coprime).  Operations between series of different orders raise
-    ValueError.  Ring operations return the type of their left operand,
+    ValueError, and +, - and * between series of different classes raise
+    TypeError.  Ring operations return the type of their left operand,
     so a subclass that narrows ``_coefficient``, which every coefficient
     passes through, keeps its ring closed or raises.
     """
@@ -100,15 +101,22 @@ class TruncatedSeries:
                 f"order mismatch: {self.order} != {other.order}"
             )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _check_operand(self, other: "TruncatedSeries"):
+        # Z[xi]/(xi^d), Q[x]/(x^d) and plain series are different rings
+        if type(other) is not type(self):
+            raise TypeError(
+                f"expected {type(self).__name__}, got {type(other).__name__}")
         self._check_order(other)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check_operand(other)
         return type(self)(
             self.order,
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
+        self._check_operand(other)
         return type(self)(
             self.order,
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
@@ -120,7 +128,7 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_order(other)
+        self._check_operand(other)
         n = self.order
         a, b = self.coefficients, other.coefficients
         out = [Fraction(0)] * n

@@ -4,6 +4,7 @@ The brute-force multiplier oracle below tries n = 1, 2, 3, ... directly
 against the series, independently of the lcm shortcut under test.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,10 @@ def test_merged_ring_keeps_each_class(cls, coefficient_type, half_xi, one_repr):
         assert xi.scale(F(1, 2)) == half_xi
     for other in {KClass, HClass, TruncatedSeries} - {cls}:
         assert cls(2, [1, 0]) != other(2, [1, 0])
+        # different rings never mix, whichever operand is on the left
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(cls(2, [1, 0]), other(2, [1, 0]))
     assert cls(2, [1, 0]) == cls(2, [1, 0])
     assert hash(cls(2, [1, 0])) == hash(cls(2, [1, 0]))
     assert repr(one) == one_repr

@@ -138,10 +138,26 @@ FACE_ZERO_PROBLEM = {
     "bound_radius": "16",
 }
 
+# f = x - (17, 289/100 - 17/3 - (34/100) x0 + (1/100) x0^2) vanishes at
+# (17, 17/3), a non-dyadic point of an edge of the boundary square
+EDGE_ZERO_PROBLEM = {
+    "domain_dim": 2,
+    "target_dim": 2,
+    "linear_part": [["1", "0"], ["0", "1"]],
+    "compact_part": {"components": [
+        [["-17", [0, 0]]],
+        [["289/100", [0, 0]], ["-17/3", [0, 0]], ["-34/100", [1, 0]],
+         ["1/100", [2, 0]]],
+    ]},
+    "bound_radius": "16",
+}
+
 
 def test_domain_errors_exit_one(capsys, tmp_path):
     face_zero = tmp_path / "face_zero.json"
     face_zero.write_text(json.dumps(FACE_ZERO_PROBLEM))
+    edge_zero = tmp_path / "edge_zero.json"
+    edge_zero.write_text(json.dumps(EDGE_ZERO_PROBLEM))
     for argv in (
         ["index", "--c2", "1", "--sigma", "0"],
         ["sharpscan", "--dmin", "9", "--dmax", "3"],
@@ -149,11 +165,29 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         ["chamber", "--n", "1", "--angles", "1/2,1"],
         ["dim", "--bplus", "3"],
         ["reduce", "--problem", str(face_zero)],
+        ["reduce", "--problem", str(edge_zero)],
     ):
         status, out, err = run(capsys, *argv)
         assert status == 1
         assert out == ""
         assert json.loads(err)["error"]["code"] == "domain"
+
+
+def test_zero_builtin_has_one_component_per_target_coordinate(capsys, tmp_path):
+    # the zero map R^3 -> R^2 loads; its index 1 is the domain error
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "domain_dim": 3,
+        "target_dim": 2,
+        "linear_part": [["1", "0", "0"], ["0", "1", "0"]],
+        "compact_part": {"builtin": "zero"},
+        "bound_radius": "2",
+    }))
+    status, out, err = run(capsys, "reduce", "--problem", str(path))
+    assert (status, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain"
+    assert error["message"].startswith("degree needs index 0")
 
 
 def test_io_and_parse_errors_exit_two(capsys, tmp_path):
@@ -224,6 +258,9 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, compact_part={
          "builtin": "constant", "vector": ["1"]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": {k: v for k, v in TRANSLATION_PROBLEM.items()
+                  if k != "linear_part"}}),
     (["bound", "--d", "x", "--k", "2"], {}),
     (["reduce"], {}),
     (["frobnicate"], {}),
@@ -237,9 +274,10 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
         "reduce-string-compact-part", "reduce-number-piece",
         "reduce-string-vector", "reduce-string-rows",
         "reduce-top-level-list", "reduce-short-constant",
+        "reduce-missing-key",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand"])
-def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
+def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
     # Gram matrix or compact part of the wrong shape, a JSON value of
@@ -262,6 +300,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, argv, files):
     # integers or slices, not str") name no input
     message = doc["error"]["message"]
     assert "object" not in message and "indices" not in message
+    if request.node.callspec.id == "reduce-missing-key":
+        assert message.endswith("missing key 'linear_part'")
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms

@@ -6,7 +6,9 @@ neither the refinement nor the ray count with the implementation under
 test.  For linear maps the
 oracle is the sign of the determinant.  For dim 3 the oracle is a float
 Van Oosterom-Strackee sum of solid angles over the triangles the exact
-ray count uses: it shares no arithmetic with the count.
+ray count uses: it shares no arithmetic with the count.  The mesh of
+Fraction vertices that the integer grid replaced is kept as the oracle
+for the points the refinement hands to g.
 """
 
 import itertools
@@ -18,9 +20,13 @@ from fractions import Fraction
 import pytest
 
 from problem_factory import random_problem
+from swcohom import degree
 from swcohom.degree import (
+    MAX_DEPTH,
     MAX_RAYS,
     _closed_surface,
+    _dot,
+    _evaluate,
     _octahedron_faces,
     _ray_count,
     _refined,
@@ -202,6 +208,106 @@ def test_invalid_arguments():
         brouwer_degree(lambda x: x, 2, 0)
 
 
+# -- the Fraction mesh, kept as the oracle ----------------------------------
+
+
+def fraction_midpoint(p, q):
+    return tuple((a + b) / 2 for a, b in zip(p, q))
+
+
+def fraction_square_segments(r):
+    corners = [(r, -r), (r, r), (-r, r), (-r, -r)]
+    points = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        points += [a, fraction_midpoint(a, b)]
+    return list(zip(points, points[1:] + points[:1]))
+
+
+def fraction_octahedron_faces(radius_l1):
+    zero = F(0)
+    faces = []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            for s3 in (1, -1):
+                a = (s1 * radius_l1, zero, zero)
+                b = (zero, s2 * radius_l1, zero)
+                c = (zero, zero, s3 * radius_l1)
+                faces.append((a, b, c) if s1 * s2 * s3 > 0 else (a, c, b))
+    return faces
+
+
+def fraction_split(cell):
+    if len(cell) == 2:
+        a, b = cell
+        m = fraction_midpoint(a, b)
+        return [(a, m), (m, b)]
+    a, b, c = cell
+    mab, mbc, mca = (fraction_midpoint(a, b), fraction_midpoint(b, c),
+                     fraction_midpoint(c, a))
+    return [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+
+
+def fraction_mesh_degree(g, dim, radius):
+    """The degree over a mesh of Fraction vertices: midpoints computed in
+    Fractions, the image cache keyed by Fraction tuples, and an edge
+    walked in the closure while its midpoint was evaluated."""
+    r = F(radius)
+    cells = (fraction_square_segments(r) if dim == 2
+             else fraction_octahedron_faces(7 * r / 4))
+    cache = {}
+    pending, accepted = list(cells), []
+    while pending:
+        cell = pending.pop()
+        for p in cell:
+            if p not in cache:
+                cache[p] = _evaluate(g, list(p))
+        images = [cache[p] for p in cell]
+        if all(_dot(u, v) > 0 for u, v in itertools.combinations(images, 2)):
+            accepted.append(cell)
+        else:
+            pending.extend(fraction_split(cell))
+    if dim == 3:
+        def chain(p, q):
+            m = fraction_midpoint(p, q)
+            return chain(p, m) + chain(m, q) if m in cache else [p]
+
+        closed = []
+        for a, b, c in accepted:
+            ring = chain(a, b) + chain(b, c) + chain(c, a)
+            closed += [(ring[0], ring[i], ring[i + 1])
+                       for i in range(1, len(ring) - 1)]
+        accepted = closed
+    return _ray_count([tuple(cache[p] for p in cell) for cell in accepted])
+
+
+def recorded(g):
+    points = []
+
+    def wrapper(x):
+        points.append(list(x))
+        return g(x)
+    return wrapper, points
+
+
+def assert_same_points_as_fraction_mesh(g, dim, radius):
+    g_grid, grid_points = recorded(g)
+    g_oracle, oracle_points = recorded(g)
+    assert (brouwer_degree(g_grid, dim, radius)
+            == fraction_mesh_degree(g_oracle, dim, radius))
+    assert grid_points == oracle_points
+    assert all(type(x) is F for p in grid_points for x in p)
+
+
+def refined(g, dim, radius):
+    """The integer-grid refinement brouwer_degree runs, and its unit."""
+    r = F(radius)
+    if dim == 2:
+        unit = r / 2 ** MAX_DEPTH
+        return _refined(g, _square_segments(), unit), unit
+    unit = 7 * r / 4 / 2 ** MAX_DEPTH
+    return _refined(g, _octahedron_faces(), unit), unit
+
+
 # -- dim 2: the refined segments and the ray count -------------------------
 
 
@@ -217,24 +323,24 @@ def assert_closed_loop(segments):
     assert starts == ends
 
 
-def segment_lengths(segments):
-    return {abs(p[0] - q[0]) + abs(p[1] - q[1]) for p, q in segments}
+def segment_lengths(segments, unit):
+    return {(abs(p[0] - q[0]) + abs(p[1] - q[1])) * unit for p, q in segments}
 
 
 def test_dim2_segments_close_up_under_uneven_refinement():
     g = complex_poly([(1, 0), (F(3, 2), 0)])
-    accepted, _ = _refined(g, _square_segments(F(2)))
+    (accepted, _, _), unit = refined(g, 2, 2)
     assert len(accepted) == 14
-    assert len(segment_lengths(accepted)) == 3
+    assert len(segment_lengths(accepted, unit)) == 3
     assert_closed_loop(accepted)
     assert brouwer_degree(g, 2, 2) == 2
 
 
 @pytest.mark.parametrize("radius", [2, 3, 5])
 def test_dim2_segments_close_up_under_even_refinement(radius):
-    accepted, _ = _refined(z_cubed_minus_one, _square_segments(F(radius)))
+    (accepted, _, _), unit = refined(z_cubed_minus_one, 2, radius)
     assert len(accepted) == 16
-    assert segment_lengths(accepted) == {F(radius, 2)}
+    assert segment_lengths(accepted, unit) == {F(radius, 2)}
     assert_closed_loop(accepted)
     assert brouwer_degree(z_cubed_minus_one, 2, radius) == 3
 
@@ -244,7 +350,7 @@ def test_dim2_vertex_on_first_ray_moves_the_search_on(m):
     # both maps send the square corner (1, 1) onto the ray through (1, 1),
     # which is the first direction tried
     g = linear_map(m)
-    _, cache = _refined(g, _square_segments(F(1)))
+    (_, cache, _), _ = refined(g, 2, 1)
     assert any(img[0] == img[1] > 0 for img in cache.values())
     assert brouwer_degree(g, 2, 1) == (1 if det(m) > 0 else -1)
 
@@ -259,9 +365,8 @@ def z_squared_minus_one_x3(s):
 
 
 def test_closed_surface_pairs_every_edge():
-    accepted, cache = _refined(z_squared_minus_one_x3(1),
-                                _octahedron_faces(7 * F(2) / 4))
-    closed = _closed_surface(accepted, cache)
+    (accepted, _, midpoints), _ = refined(z_squared_minus_one_x3(1), 3, 2)
+    closed = _closed_surface(accepted, midpoints)
     # the refinement is not uniform, so the accepted triangles alone
     # leave hanging vertices that the closure has to pick up
     assert len(closed) > len(accepted)
@@ -296,7 +401,7 @@ def test_vertex_on_first_ray_moves_the_search_on(sign):
     # (1, 1, 1), which is the first direction tried
     m = [[sign, 0, 0], [sign, 1, 0], [sign, 0, 1]]
     g = linear_map(m)
-    _, cache = _refined(g, _octahedron_faces(F(7, 4)))
+    (_, cache, _), _ = refined(g, 3, 1)
     assert any(tuple(img) == (img[0],) * 3 and img[0] > 0
                for img in cache.values())
     assert brouwer_degree(g, 3, 1) == (1 if det(m) > 0 else -1)
@@ -315,9 +420,9 @@ def _solid_angle(a, b, c):
 
 
 def assert_solid_angles_agree(g, radius):
-    accepted, cache = _refined(g, _octahedron_faces(7 * F(radius) / 4))
+    (accepted, cache, midpoints), _ = refined(g, 3, radius)
     degree = brouwer_degree(g, 3, radius)
-    for triangles in (accepted, _closed_surface(accepted, cache)):
+    for triangles in (accepted, _closed_surface(accepted, midpoints)):
         total = sum(_solid_angle(*(cache[p] for p in tri))
                     for tri in triangles)
         assert abs(total / (4 * math.pi) - degree) < 0.25
@@ -346,6 +451,76 @@ def test_dim3_count_matches_solid_angles_on_linear_maps():
             continue
         assert assert_solid_angles_agree(linear_map(m), 1) == (1 if d > 0 else -1)
         checked += 1
+
+
+# -- the integer grid against the Fraction mesh ----------------------------
+
+
+def test_dim2_points_match_fraction_mesh():
+    rng = random.Random(17)
+    matrices = [[[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+                for _ in range(12)]
+    cases = [(lambda x: x, 2), (lambda x: [-v for v in x], 2),
+             (z_cubed_minus_one, 2), (z_cubed_minus_one, 3),
+             (z_cubed_minus_one, 5),
+             (complex_poly([(1, 0), (F(3, 2), 0)]), 2),
+             (complex_poly([(1, 0), (-1, 0)]), 3),
+             (complex_poly([(F(1, 2), F(1, 2))]), 3),
+             (complex_poly([], [(0, 0)]), 3),
+             (complex_poly([(1, 0)], [(-1, 0)]), 3),
+             (complex_poly([(0, 1), (0, -1), (F(1, 2), 0)]), 3),
+             (complex_poly([(F(3, 2), 0)], [(F(-3, 2), 0)]), 3),
+             (linear_map([[2, -1], [1, 0]]), 1),
+             (linear_map([[0, 1], [1, 0]]), 1)]
+    cases += [(complex_poly([(0, 0)] * k), 2) for k in range(1, 6)]
+    cases += [(linear_map(m), 1) for m in matrices if det(m)]
+    for g, radius in cases:
+        assert_same_points_as_fraction_mesh(g, 2, radius)
+
+
+def test_dim3_points_match_fraction_mesh():
+    def z_cubed_x3(x):
+        return z_cubed_minus_one(x[:2]) + [x[2]]
+
+    cases = [(lambda x: x, 2), (lambda x: [-v for v in x], 2),
+             (z_squared_minus_one_x3(1), 2), (z_squared_minus_one_x3(-1), 2),
+             (z_cubed_x3, 3),
+             (lambda x: [(x[0] - 2) * (x[0] + 2), x[1], x[2]], 4),
+             (linear_map([[1, 0, 0], [1, 1, 0], [1, 0, 1]]), 1),
+             (linear_map([[-1, 0, 0], [-1, 1, 0], [-1, 0, 1]]), 1)]
+    rng = random.Random(31)
+    for _ in range(4):
+        p, _ = random_problem(rng, 3)
+        cases.append((p.f, p.bound_radius))
+    for g, radius in cases:
+        assert_same_points_as_fraction_mesh(g, 3, radius)
+
+
+# -- the two refinement budgets ---------------------------------------------
+
+
+@pytest.mark.parametrize("dim, zero, bound", [
+    # (2, 2/3) on the right edge of the square of radius 2
+    (2, (2, F(2, 3)), 8 + 2 * MAX_DEPTH),
+    # (7/6, 7/6, 7/6) on a face of the octahedron of L1-radius 7/2
+    (3, (F(7, 6),) * 3, 6 + 4 * MAX_DEPTH),
+])
+def test_zero_off_the_grid_trips_the_depth_budget(dim, zero, bound):
+    # no dyadic midpoint reaches the zero, so the cells around it split
+    # until one would leave the grid; a few evaluations per level
+    g, calls = recorded(lambda x: [a - b for a, b in zip(x, zero)])
+    with pytest.raises(ArithmeticError, match="refinement budget exceeded"):
+        brouwer_degree(g, dim, 2)
+    assert len(calls) <= bound
+
+
+def test_cell_budget(monkeypatch):
+    # z^3 - 1 needs 16 segments at radius 2 (see above)
+    monkeypatch.setattr(degree, "MAX_CELLS", 15)
+    g, calls = recorded(z_cubed_minus_one)
+    with pytest.raises(ArithmeticError, match="refinement budget exceeded"):
+        brouwer_degree(g, 2, 2)
+    assert len(calls) <= 16
 
 
 def test_ray_count_refuses_an_image_through_origin():

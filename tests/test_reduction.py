@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -16,6 +16,7 @@ from swcohom.reduction import (
     _halton_ball_scaled,
     _prepared_basis,
     _preimage_basis,
+    _halton_point,
     _radical_inverse,
     _ReducedMap,
     builtin_compact,
@@ -28,6 +29,16 @@ from swcohom.reduction import (
 from swcohom.linalg import vec_add, vec_dot, vec_scale, vec_sub
 
 F = Fraction
+
+
+def radical_inverse(i, base):
+    # the Fraction radical inverse the integer one replaced, as the oracle
+    num, denom = 0, 1
+    while i:
+        num = num * base + (i % base)
+        denom *= base
+        i //= base
+    return F(num, denom)
 
 
 def halton_ball(dim, radius, count):
@@ -63,7 +74,7 @@ def _span_samples(basis, radius, count, ambient_dim):
         if attempts > 16 * count + 8192:
             break
         t = [
-            t_radius * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
+            t_radius * (2 * radical_inverse(i, _HALTON_BASES[k]) - 1)
             for k in range(dim)
         ]
         i += 1
@@ -191,12 +202,28 @@ def test_halton_ball_matches_fraction_formula():
         expected = [[F(0)] * dim]
         i = 1
         while len(expected) < 30:
-            p = [r * (2 * _radical_inverse(i, _HALTON_BASES[k]) - 1)
+            p = [r * (2 * radical_inverse(i, _HALTON_BASES[k]) - 1)
                  for k in range(dim)]
             if vec_dot(p, p) <= r * r:
                 expected.append(p)
             i += 1
         assert halton_ball(dim, r, 30) == expected
+
+
+def test_radical_inverse_matches_fraction_oracle():
+    # (num, base^k) is the oracle's Fraction in lowest terms, so the
+    # integer Halton points are the Fraction ones
+    for base in _HALTON_BASES:
+        for i in range(2000):
+            num, denom = _radical_inverse(i, base)
+            assert F(num, denom) == radical_inverse(i, base)
+            assert gcd(num, denom) == 1
+    for i in (1, 7, 100, 1999):
+        for dim in (1, 2, 3, 4):
+            w = F(17, 12)
+            T, s = _halton_point(i, dim, w)
+            assert [F(t, s) for t in T] == [
+                w * (2 * radical_inverse(i, b) - 1) for b in _HALTON_BASES[:dim]]
 
 
 # -- subspace choice ------------------------------------------------------
