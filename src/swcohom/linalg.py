@@ -137,11 +137,9 @@ def rref(a):
     return m, pivots
 
 
-def nullspace(a):
-    """Basis of {x : a x = 0} as a list of vectors (empty if trivial)."""
-    if not a:
-        return []
-    n_cols = len(a[0])
+def nullspace(a, n_cols: int):
+    """Basis of {x in Q^n_cols : a x = 0} as a list of vectors (empty if
+    trivial); with no rows it is the standard basis."""
     reduced, pivots = rref(a)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []

@@ -15,14 +15,14 @@ squared length within [8/9, 9/8]; the scale factor is found with one
 float square root but applied as an exact rational, so no floating
 point ever enters a computed value.
 
-For a chosen V the reduced map is prepared once, and the same object
-serves the miss check and the degree, so `reduce` checks the miss
-condition once.  Its evaluation runs in integer arithmetic: a point and
-each basis vector are integer rows over one common denominator,
-PolynomialMap.evaluate_scaled returns integer numerators over one
-common denominator, and the squared lengths the miss check compares sit
-over one denominator too.  Only the values handed to brouwer_degree
-become Fractions.
+For a chosen V the reduced map is prepared once: y(t) = f(B_V' t),
+expanded in integers as one PolynomialMap in the coordinates t of
+l^-1(V) per piece of the compact part, whose components are the
+coordinates of y along V, then along V-perp.  Its one evaluator serves
+the miss check, which weighs the squared integer numerators into |y|^2
+and |pr_perp y|^2, and the degree, which takes the V coordinates, so
+`reduce` checks the miss condition once.  Only the values handed to
+brouwer_degree become Fractions.
 """
 
 from __future__ import annotations
@@ -168,16 +168,21 @@ class PiecewisePolynomialMap:
         if not self.pieces:
             raise ValueError("need at least one piece")
 
-    def evaluate_scaled(self, X, S):
-        """The first piece with |X|^2 den(T) <= num(T) S^2, evaluated as
-        PolynomialMap.evaluate_scaled does.
+    def piece(self, norm2, den):
+        """The map of the first piece with norm2 / den <= threshold, for
+        integers norm2 and den > 0.
         """
-        norm2, s2 = sum(xi * xi for xi in X), S * S
         for threshold, poly in self.pieces:
             if (threshold is None
-                    or norm2 * threshold.denominator <= threshold.numerator * s2):
-                return poly.evaluate_scaled(X, S)
-        raise ValueError(f"no piece covers |x|^2 = {Fraction(norm2, s2)}")
+                    or norm2 * threshold.denominator <= threshold.numerator * den):
+                return poly
+        raise ValueError(f"no piece covers |x|^2 = {Fraction(norm2, den)}")
+
+    def evaluate_scaled(self, X, S):
+        """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled
+        does.
+        """
+        return self.piece(_int_dot(X, X), S * S).evaluate_scaled(X, S)
 
     __call__ = _call_scaled
 
@@ -401,18 +406,23 @@ def _halton_point(i: int, dim: int, half_width: Fraction):
     return T, s * half_width.denominator
 
 
-def _halton_ball_scaled(dim: int, radius, count: int):
-    """The origin, then the first ``count - 1`` Halton cube points that
-    land in the ball, as integers (X, S) with x = X / S; deterministic.
+def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
+                        half_width=None):
+    """The origin, then the first ``count - 1`` Halton points of the cube
+    of half-width ``half_width`` (radius if not given) with integer-weighted
+    sum_k w_k x_k^2 <= radius^2 (all w_k = 1 if not given), as integers
+    (X, S) with x = X / S; deterministic.
     """
     r = Fraction(radius)
+    weights = weights or [1] * dim
     points = [([0] * dim, 1)]
     i = 1
     while len(points) < count:
         if i > _HALTON_ATTEMPTS:
             raise ValueError("sampling budget exceeded")
-        X, S = _halton_point(i, dim, r)
-        if _int_dot(X, X) * r.denominator ** 2 <= r.numerator ** 2 * S * S:
+        X, S = _halton_point(i, dim, Fraction(half_width or r))
+        if (sum(wk * x * x for wk, x in zip(weights, X)) * r.denominator ** 2
+                <= r.numerator ** 2 * S * S):
             points.append((X, S))
         i += 1
     return points
@@ -437,21 +447,14 @@ def _prepared_basis(vectors):
     return [_unit_rescale(b) for b in gram_schmidt(vectors)]
 
 
-def _project_coeffs(orth_basis, y):
-    return [vec_dot(y, b) / vec_dot(b, b) for b in orth_basis]
-
-
 def _complement_basis(orth_basis, dim):
-    if not orth_basis:
-        return _prepared_basis([[Fraction(int(i == j)) for j in range(dim)]
-                                for i in range(dim)])
-    return _prepared_basis(nullspace([list(b) for b in orth_basis]))
+    return _prepared_basis(nullspace([list(b) for b in orth_basis], dim))
 
 
 def _coker_complement(p: ReductionProblem):
     # orthogonal complement of im(l): nullspace of l^T
     lt = transpose([list(r) for r in p.linear_part])
-    return _prepared_basis(nullspace(lt))
+    return _prepared_basis(nullspace(lt, p.target_dim))
 
 
 def _preimage_basis(p: ReductionProblem, v_basis, u_basis):
@@ -460,12 +463,7 @@ def _preimage_basis(p: ReductionProblem, v_basis, u_basis):
         [vec_dot(u, [row[j] for row in p.linear_part]) for j in range(p.domain_dim)]
         for u in u_basis
     ]
-    if not rows:
-        return _prepared_basis(
-            [[Fraction(int(i == j)) for j in range(p.domain_dim)]
-             for i in range(p.domain_dim)]
-        )
-    return _prepared_basis(nullspace(rows))
+    return _prepared_basis(nullspace(rows, p.domain_dim))
 
 
 def _integer_rows(vectors):
@@ -491,12 +489,12 @@ def _residual2(rows, y):
 class _ReducedMap:
     """f on V' = l^-1(V) in coordinates, for one problem and one V.
 
-    Prepares B_V, B_U = V-perp and B_V' = l^-1(V) once, each vector b
-    held as an integer row B over its least denominator d.  For a point
-    t, x = B_V' t and f(x) = l x + c(x); l x already lies in V, so the
-    matrix of l|V' in V-coordinates is the whole linear part, and c(x)
-    comes from the integer kernel of the compact part.  g(t) is the
-    V-coordinate vector of f(x), the reduced map whose degree is taken.
+    Prepares B_V, B_U = V-perp and B_V' = l^-1(V) once, and expands
+    y(t) = f(B_V' t) once per piece of the compact part, in integers, as
+    one PolynomialMap in t: the coordinates of y along B_V, then B_U.
+    B_V' is orthogonal integer rows L_k over one denominator d', so
+    |B_V' t|^2 = sum |L_k|^2 t_k^2 / d'^2 picks the piece.  g(t), the
+    B_V coordinates, is the reduced map whose degree is taken.
     """
 
     def __init__(self, p: ReductionProblem, v_basis):
@@ -504,53 +502,74 @@ class _ReducedMap:
         self.b_v = _prepared_basis(v_basis)
         self.b_u = _complement_basis(self.b_v, p.target_dim)
         self.b_vprime = _preimage_basis(p, self.b_v, self.b_u)
-        self._lift_rows, self._lift_den = _integer_rows(self.b_vprime)
-        self._v_rows = [_integer_row(b) for b in self.b_v]
-        self._u_rows = [_integer_row(u) for u in self.b_u]
-        # matrix of l|V' in V-coordinates: column k holds l b'_k along B_V
-        lin = transpose([
-            _project_coeffs(self.b_v, [vec_dot(list(r), b) for r in p.linear_part])
-            for b in self.b_vprime
-        ]) or [[] for _ in self.b_v]
-        self._lin_rows, self._lin_den = _integer_rows(lin)
-        # the part of y along b = B / d has squared length (y . B)^2 / |B|^2;
-        # K clears every such denominator
-        self._k = math.lcm(*(n2 * d * d for _, d, n2 in self._v_rows),
-                           *(n2 for _, _, n2 in self._u_rows))
+        lift_rows, self._lift_den = _integer_rows(self.b_vprime)
+        self._lift_weights = [_int_dot(row, row) for row in lift_rows]
+        # along b = B / d the coordinate of y is (y . B) d / |B|^2, and
+        # d^2 |y|^2 is the sum of |B|^2 coordinate^2 over B_V and B_U
+        rows, d = _integer_rows(self.b_v + self.b_u)
+        self._weights = [_int_dot(row, row) for row in rows]
+        self._d2 = d * d
+        n, dim = p.domain_dim, len(lift_rows)
+        # x_i d' = sum_k L_ki t_k, so x^e d'^|e| is an integer polynomial
+        # in t, {exponents: coefficient}, expanded once for each e
+        lam = [[(k, row[i]) for k, row in enumerate(lift_rows) if row[i]]
+               for i in range(n)]
+        monomials = {(0,) * n: {(0,) * dim: 1}}
 
-    def lift(self, T, s):
-        """x = B_V' t as X / S for t = T / s, all integers."""
-        X = [sum(tk * row[j] for tk, row in zip(T, self._lift_rows))
-             for j in range(self.p.domain_dim)]
-        return X, s * self._lift_den
+        def monomial(e):
+            if e not in monomials:
+                i = next(i for i, ei in enumerate(e) if ei)
+                out = monomials[e] = {}
+                for key, v in monomial(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                    for k, lki in lam[i]:
+                        up = key[:k] + (key[k] + 1,) + key[k + 1:]
+                        out[up] = out.get(up, 0) + v * lki
+            return monomials[e]
 
-    def numerators(self, T, s, X, S):
-        """Integers (A, P, e) for y = f(x) at t = T / s, x = X / S: along
-        b = B / d in B_V, y has coordinate A_b / (e |B|^2); along u = C / d'
-        in B_U, (y . C) = P_u / e.
+        pieces = []
+        for threshold, c in getattr(p.compact_part, "pieces",
+                                    [(None, p.compact_part)]):
+            # f = l + c, l's rows as degree-1 terms; padded to the maximum
+            # degree m, D d'^m (y . B) is an integer polynomial in t
+            f = [comp + [(a, tuple(int(j == i) for j in range(n)))
+                         for i, a in enumerate(row) if a]
+                 for comp, row in zip(c.components, p.linear_part)]
+            D = math.lcm(*(a.denominator for comp in f for a, _ in comp))
+            m = max((sum(e) for comp in f for _, e in comp), default=0)
+            components = []
+            for row, n2 in zip(rows, self._weights):
+                total = {}
+                for b, comp in zip(row, f):
+                    for a, e in comp:
+                        scale = (b * a.numerator * (D // a.denominator)
+                                 * self._lift_den ** (m - sum(e)))
+                        for key, v in monomial(e).items():
+                            total[key] = total.get(key, 0) + scale * v
+                den = n2 * D * self._lift_den ** m
+                components.append([(Fraction(v * d, den), key)
+                                   for key, v in total.items() if v])
+            pieces.append((threshold, PolynomialMap(dim, components)))
+        self._y = PiecewisePolynomialMap(pieces)
+
+    def evaluate_scaled(self, T, s):
+        """The coordinates of y = f(B_V' t) along B_V, then B_U, at
+        t = T / s, as integer numerators over one denominator."""
+        norm2 = sum(w * tk * tk for w, tk in zip(self._lift_weights, T))
+        return self._y.piece(norm2, (s * self._lift_den) ** 2).evaluate_scaled(T, s)
+
+    def norms2(self, T, s):
+        """(|y|^2, |pr_U y|^2) for y = f(B_V' t) at t = T / s as integers
+        over one denominator D: (Y, Q, D).  Exact, because the bases are
+        orthogonal.
         """
-        nums, den = self.p.compact_part.evaluate_scaled(X, S)
-        q = self._lin_den * s
-        A = [_int_dot(nums, row) * d * q + _int_dot(lin_row, T) * den * n2
-             for (row, d, n2), lin_row in zip(self._v_rows, self._lin_rows)]
-        P = [_int_dot(nums, row) * q for row, _, _ in self._u_rows]
-        return A, P, den * q
-
-    def norms2(self, T, s, X, S):
-        """(|y|^2, |pr_U y|^2) for y = f(x) as integers over one
-        denominator D: (Y, Q, D).  Exact, because the bases are orthogonal.
-        """
-        A, P, e = self.numerators(T, s, X, S)
-        k = self._k
-        Q = sum(p * p * (k // n2) for p, (_, _, n2) in zip(P, self._u_rows))
-        Y = Q + sum(a * a * (k // (n2 * d * d))
-                    for a, (_, d, n2) in zip(A, self._v_rows))
-        return Y, Q, k * e * e
+        nums, den = self.evaluate_scaled(T, s)
+        squares = [w * a * a for w, a in zip(self._weights, nums)]
+        Q = sum(squares[len(self.b_v):])
+        return Q + sum(squares[:len(self.b_v)]), Q, self._d2 * den * den
 
     def g(self, t):
-        T, s = _over_common_denominator(t)
-        A, _, e = self.numerators(T, s, *self.lift(T, s))
-        return [Fraction(a, e * n2) for a, (_, _, n2) in zip(A, self._v_rows)]
+        nums, den = self.evaluate_scaled(*_over_common_denominator(t))
+        return [Fraction(a, den) for a in nums[:len(self.b_v)]]
 
 
 # -- the reduction operations ------------------------------------------------
@@ -596,38 +615,30 @@ def verify_miss_condition(p: ReductionProblem, v_basis, samples: int = 160,
     """Sampled check that f(l^-1(V) intersect ball(2R)) keeps distance at
     least 1/2 from the unit sphere of V-perp.
 
-    The sample points are Halton points t of a cube in V'-coordinates,
-    kept in order when |B_V' t| <= 2R, then the origin.  The distance
-    test is exact: dist^2 >= 1/4 rearranges to
-    (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with both sides rational, and the
-    bases are orthogonal, so |y|^2 is the sum of the squared parts along
-    B_V and B_U.  The reported worst distance-squared is a certified
-    rational lower bound (distance itself involves a square root).
-    ``reduced`` is the _ReducedMap of (p, v_basis) when the caller has
-    already built it.
+    The sample points are the origin, then the first ``samples`` Halton
+    points t in V'-coordinates with |B_V' t| <= 2R (the origin alone when
+    V' = {0}), from the net's sampler.  The distance test is exact:
+    dist^2 >= 1/4 rearranges to (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with
+    both sides rational, and the bases are orthogonal, so |y|^2 is a
+    weighted sum of the squared coordinates of y along B_V and B_U.  The
+    reported worst distance-squared is a certified rational lower bound
+    (distance itself involves a square root).  ``reduced`` is the
+    _ReducedMap of (p, v_basis) when the caller has already built it.
     """
     rmap = reduced if reduced is not None else _ReducedMap(p, v_basis)
     radius = 2 * p.bound_radius
-    r2_num, r2_den = radius.numerator ** 2, radius.denominator ** 2
     dim = len(rmap.b_vprime)
-    points = []
-    if dim:
-        # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
-        t_radius = Fraction(17, 16) * radius
-        i = 1
-        while len(points) < samples and i <= 16 * samples + 8192:
-            T, s = _halton_point(i, dim, t_radius)
-            i += 1
-            X, S = rmap.lift(T, s)
-            if _int_dot(X, X) * r2_den <= r2_num * S * S:
-                points.append((T, s, X, S))
-    points.append(([0] * dim, 1, [0] * p.domain_dim, 1))
+    # |x| <= radius is sum_k |L_k|^2 t_k^2 <= (d' radius)^2; and
+    # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
+    points = _halton_ball_scaled(dim, rmap._lift_den * radius,
+                                 samples + 1 if dim else 1,
+                                 rmap._lift_weights, Fraction(17, 16) * radius)
     ok = True
     worst = None
     k = 10 ** 6
-    for point in points:
+    for T, s in points:
         # |y|^2 = Y / D and |pr_perp y|^2 = Q / D
-        Y, Q, D = rmap.norms2(*point)
+        Y, Q, D = rmap.norms2(T, s)
         # (|y|^2 + 3/4)^2 < 4 |pr_perp y|^2
         if (4 * Y + 3 * D) ** 2 < 64 * Q * D:
             ok = False
@@ -645,12 +656,6 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
-def _columns_det(vectors):
-    if not vectors:
-        return Fraction(1)
-    return det(transpose([list(v) for v in vectors]))
-
-
 def reduce_and_degree(p: ReductionProblem, v_basis,
                       epsilon=Fraction(1, 4)) -> DegreeReport:
     """Restrict f to l^-1(V), project to V, and return the degree of the
@@ -659,19 +664,17 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
     One reduced map, built once, serves both steps.  The miss condition
     is checked once on it, before anything else, so a caller need not
     check it again: a V that fails is refused with a ValueError, and the
-    verdict is returned in the report's ``miss``.  The reduced map is
-    evaluated in integer arithmetic: x = B_V' t over one common
-    denominator, the compact part through evaluate_scaled, and the linear
-    part as the matrix of l|V' in V-coordinates (l x already lies in V).
+    verdict is returned in the report's ``miss``.  The degree takes the
+    V coordinates of the reduced map's one integer expansion of f(B_V' t).
 
     With U = V-perp and U' = (l^-1 V)-perp, f is homotopic rel boundary
     to the product of pr_U l|_U' and the reduced map g = pr_V f|_V', so
 
-        deg f = sign det[B_U'|B_V'] * sign det[B_U|B_V]
-                * sign det(pr_U l|_U') * deg g,
+        deg f = sign det[B_U'|B_V'] * sign det[l B_U'|B_V] * deg g,
 
-    the two basis determinants converting the product orientation back to
-    the standard ones.  V = {0} (possible only for invertible l with c
+    because l w - pr_U l w lies in V for w in U', so that
+    det[l B_U'|B_V] = det[B_U|B_V] det(pr_U l|_U'), zero exactly when
+    pr_U l|_U' is singular.  V = {0} (possible only for invertible l with c
     landing near 0) short-circuits to sign(det l).
     """
     eps = Fraction(epsilon)
@@ -686,7 +689,7 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
         raise ValueError(
             f"degree needs index 0, got index {p.index()}"
         )
-    b_v, b_u, b_vprime = rmap.b_v, rmap.b_u, rmap.b_vprime
+    b_v, b_vprime = rmap.b_v, rmap.b_vprime
     v_dim = len(b_v)
     if v_dim == 0:
         d = det([list(r) for r in p.linear_part])
@@ -701,22 +704,14 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
             "V does not span the target together with im(l)"
         )
     b_uprime = _complement_basis(b_vprime, p.domain_dim)
-
-    # matrix of pr_U l restricted to U' in the bases B_U' -> B_U
-    a_cols = []
-    for w in b_uprime:
-        lw = [vec_dot(list(row), w) for row in p.linear_part]
-        a_cols.append(_project_coeffs(b_u, lw))
-    det_a = _columns_det(a_cols) if a_cols else Fraction(1)
-    if det_a == 0:
+    l_uprime = [[vec_dot(list(row), w) for row in p.linear_part]
+                for w in b_uprime]
+    sign = _sign(det(b_uprime + b_vprime)) * _sign(det(l_uprime + b_v))
+    if sign == 0:
         raise ValueError("pr_U l|_U' is singular; V is not admissible")
 
-    s_domain = _sign(_columns_det(b_uprime + b_vprime))
-    s_target = _sign(_columns_det(b_u + b_v))
-
     g_radius = Fraction(17, 16) * p.bound_radius
-    deg_g = brouwer_degree(rmap.g, v_dim, g_radius)
-    degree = s_domain * s_target * _sign(det_a) * deg_g
+    degree = sign * brouwer_degree(rmap.g, v_dim, g_radius)
     return DegreeReport(
         subspace_V=tuple(tuple(b) for b in b_v),
         reduced_dim=v_dim,

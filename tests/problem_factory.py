@@ -70,3 +70,36 @@ def random_problem(rng: random.Random, dim: int):
     problem = ReductionProblem(dim, dim, l_rows, compact, radius)
     expected = 1 if d > 0 else -1
     return problem, expected
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, F(0)) + v
+    return out
+
+
+def zero_linear_problem(rng: random.Random, dim: int, m: int):
+    """z^m - 1 on R^2, or (z^m - 1, s x3) on R^3 with s = +-1, with zero
+    linear part and z conjugated at random.
+
+    Radius 2 bounds the zeros: |z^m - 1| >= 1 once |z| >= 2^(1/m), and a
+    point of R^3 with |x| >= 2 and |z| < 2^(1/2) has |x3| >= 1.
+    """
+    sign = -1 if rng.random() < 0.5 else 1
+    re, im = {(0, 0): F(1)}, {}
+    for _ in range(m):
+        # (re + i im)(x + i sign y)
+        re, im = (
+            _poly_add(_poly_mul(re, {(1, 0): F(1)}, 2),
+                      _poly_mul(im, {(0, 1): F(-sign)}, 2)),
+            _poly_add(_poly_mul(im, {(1, 0): F(1)}, 2),
+                      _poly_mul(re, {(0, 1): F(sign)}, 2)),
+        )
+    re = _poly_add(re, {(0, 0): F(-1)})
+    components = [[(c, p + (0,) * (dim - 2)) for p, c in part.items() if c]
+                  for part in (re, im)]
+    if dim == 3:
+        components.append([(F(rng.choice((-1, 1))), (0, 0, 1))])
+    zero = [[0] * dim for _ in range(dim)]
+    return ReductionProblem(dim, dim, zero, PolynomialMap(dim, components), 2)

@@ -5,7 +5,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from problem_factory import random_problem
+from problem_factory import random_problem, zero_linear_problem
 from swcohom.reduction import (
     _HALTON_BASES,
     MissVerdict,
@@ -26,7 +26,7 @@ from swcohom.reduction import (
     stability_check,
     verify_miss_condition,
 )
-from swcohom.linalg import vec_add, vec_dot, vec_scale, vec_sub
+from swcohom.linalg import det, nullspace, vec_add, vec_dot, vec_scale, vec_sub
 
 F = Fraction
 
@@ -226,6 +226,19 @@ def test_radical_inverse_matches_fraction_oracle():
                 w * (2 * radical_inverse(i, b) - 1) for b in _HALTON_BASES[:dim]]
 
 
+# -- bases ----------------------------------------------------------------
+
+
+def test_nullspace_without_rows_and_empty_determinant():
+    for n in range(5):
+        basis = nullspace([], n)
+        assert basis == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert all(type(x) is F for v in basis for x in v)
+    assert nullspace([[1, 1, 0]], 3) == [[-1, 1, 0], [0, 0, 1]]
+    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert det([]) == 1
+
+
 # -- subspace choice ------------------------------------------------------
 
 
@@ -331,6 +344,41 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
                     sides.add(vec_dot(x, x) <= threshold)
                     assert rmap.g(t) == oracle(t)
                 assert sides == {True, False} or k == 0
+                # points with |B_V' t|^2 exactly the threshold, a rational
+                # multiple of one basis vector where one exists, with an
+                # outer piece that differs there: the inner piece applies
+                inner_poly = p.compact_part.pieces[0][1]
+                ones = PolynomialMap(dim, [[(F(1), (0,) * dim)]] * dim)
+                split = ReductionProblem(
+                    dim, dim, p.linear_part,
+                    PiecewisePolynomialMap([(threshold, inner_poly),
+                                            (None, ones)]), p.bound_radius)
+                rmap = _ReducedMap(split, V)
+                oracles = [oracle_g(ReductionProblem(
+                    dim, dim, p.linear_part, c, p.bound_radius), V)
+                    for c in (split.compact_part, inner_poly, ones)]
+                on = 0
+                for j, b in enumerate(rmap.b_vprime):
+                    q = threshold / vec_dot(b, b)
+                    root = F(isqrt(q.numerator), isqrt(q.denominator))
+                    if root * root != q:
+                        continue
+                    for sign in (1, -1):
+                        t = [sign * root * (i == j) for i in range(k)]
+                        assert rmap.g(t) == oracles[0](t)
+                        assert rmap.g(t) == oracles[1](t) != oracles[2](t)
+                        on += 1
+                assert on or V != [[int(i == j) for j in range(dim)]
+                                   for i in range(dim)]
+    # maps with one piece and no linear part
+    for dim, m in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
+        p = zero_linear_problem(rng, dim, m)
+        for V in (choose_reduction_subspace(p),
+                  [[int(i == j) for j in range(dim)] for i in range(dim)]):
+            rmap = _ReducedMap(p, V)
+            oracle = oracle_g(p, V)
+            for t in halton_ball(len(rmap.b_vprime), 2 * p.bound_radius, 24):
+                assert rmap.g(t) == oracle(t)
 
 
 def test_piecewise_threshold_is_inclusive():
