@@ -61,7 +61,10 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CLIError(2, "io", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a file that is not UTF-8, an integer longer
+        # than Python converts from a string, or nesting deeper than the
+        # decoder recurses
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -6,17 +6,21 @@ intersection pairing of a closed oriented smooth 4-manifold; -E8 is the
 standard inadmissible example, diag(-1,...,-1) the admissible one.
 
 Characteristic vectors form a single coset c0 + 2L.  All enumeration is
-exact: LDL^T over Fraction gives Fincke-Pohst coordinate ranges whose
-endpoints are certified with integer square roots, never floats.
+in integers, on the fraction-free Bareiss rows U_k of A = -G that
+validation computes.  With the leading minors d_k = U_kk (d_{-1} = 1)
+they split the form as x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
+fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
+lcm_k d_{k-1} d_k every term is an integer, so each Fincke-Pohst
+coordinate range costs one integer square root, never a float or a
+Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .linalg import bareiss_leading_minors, ldl, solve_mod2
+from .linalg import bareiss, solve_mod2
 
 __all__ = [
     "GramMatrix",
@@ -67,10 +71,18 @@ class GramMatrix(namedtuple("GramMatrix", "n entries")):
 
 
 class LatticeVector(namedtuple("LatticeVector", "coords")):
+    """Coordinates in the basis of a form: a list or tuple of ints, like a
+    GramMatrix row; a float, bool or string is refused, never truncated.
+    """
+
     __slots__ = ()
 
     def __new__(cls, coords):
-        return super().__new__(cls, tuple(int(x) for x in coords))
+        if (not isinstance(coords, (list, tuple))
+                or any(type(x) is not int for x in coords)):
+            raise ValueError(
+                f"coords must be a list or tuple of integers, got {coords!r}")
+        return super().__new__(cls, tuple(coords))
 
     def to_json(self) -> list[int]:
         return list(self.coords)
@@ -80,32 +92,41 @@ ValidationResult = namedtuple("ValidationResult", "valid failure", defaults=(Non
 AdmissibilityVerdict = namedtuple("AdmissibilityVerdict", "admissible min_norm witness")
 
 
-def validate(g: GramMatrix) -> ValidationResult:
-    """Check symmetry, |det| = 1, and negative definiteness, in that order.
-
-    Definiteness is decided by the leading principal minors of -G, all of
-    which must be positive; they come from fraction-free elimination, so
-    the verdict is exact.
+def _eliminate(g: GramMatrix):
+    """(failure, rows): the first check g fails, or None, and the Bareiss
+    rows of -G (None when g is not symmetric).
     """
     e = g.entries
     for i in range(g.n):
         for j in range(i):
             if e[i][j] != e[j][i]:
-                return ValidationResult(False, "not symmetric")
-    neg = [[-x for x in row] for row in e]
-    minors = bareiss_leading_minors(neg)
-    if any(m <= 0 for m in minors):
-        return ValidationResult(False, "not negative definite")
+                return "not symmetric", None
+    rows = bareiss([[-x for x in row] for row in e])
+    if len(rows) < g.n or any(row[k] <= 0 for k, row in enumerate(rows)):
+        return "not negative definite", rows
     # det(-G) = last minor; |det G| = |det(-G)|
-    if minors[-1] != 1:
-        return ValidationResult(False, f"not unimodular (|det| = {minors[-1]})")
-    return ValidationResult(True)
+    if rows[-1][-1] != 1:
+        return f"not unimodular (|det| = {rows[-1][-1]})", rows
+    return None, rows
+
+
+def validate(g: GramMatrix) -> ValidationResult:
+    """Check symmetry, negative definiteness, and |det| = 1, in that order.
+
+    Definiteness is decided by the leading principal minors of -G, all of
+    which must be positive; they are the diagonal of its fraction-free
+    Bareiss rows, so the verdict is exact.
+    """
+    failure, _ = _eliminate(g)
+    return ValidationResult(failure is None, failure)
 
 
 def _require_valid(g: GramMatrix):
-    v = validate(g)
-    if not v.valid:
-        raise ValueError(f"invalid Gram matrix: {v.failure}")
+    """The Bareiss rows of -G, for a valid g; else ValueError."""
+    failure, rows = _eliminate(g)
+    if failure is not None:
+        raise ValueError(f"invalid Gram matrix: {failure}")
+    return rows
 
 
 def _norm(g: GramMatrix, coords) -> int:
@@ -145,46 +166,40 @@ def find_characteristic(g: GramMatrix) -> LatticeVector:
     return c
 
 
-def _fincke_pohst(a_rows, shift, bound: Fraction):
-    """All integer vectors z with (z + shift)^T A (z + shift) <= bound,
-    for A symmetric positive definite with rational entries.
+def _short_vectors(rows, bound: int, residue, step: int):
+    """All integer x with x = residue (mod step) and x^T A x <= bound,
+    for A positive definite with Bareiss rows `rows` and bound >= 0.
 
-    Coordinate ranges come from the LDL^T split: with y = L^T (z + shift),
-    the form is sum_i d_i y_i^2, processed from the last coordinate down.
-    Range endpoints are certified by isqrt on exact rationals.
+    With d_k = rows[k][k] and d_{-1} = 1 the form is
+    sum_k (U_k . x)^2 / (d_{k-1} d_k); times scale = lcm_k d_{k-1} d_k
+    each term is the integer w_k (U_k . x)^2.  Coordinates are fixed from the
+    last down (U. Fincke and M. Pohst, Math. Comp. 44, 1985): given
+    x_{k+1}, ..., with t = sum_{j>k} U_kj x_j, x_k is every value with
+    |d_k x_k + t| <= isqrt(remaining // w_k).
     """
-    n = len(a_rows)
-    if bound < 0:
-        return
-    L, d = ldl(a_rows)
-    z = [0] * n
-    # partial[i] = sum over j > i of d_j y_j^2, maintained during descent
-    def descend(i, remaining: Fraction):
-        if i < 0:
-            yield tuple(z)
-            return
-        # y_i = z_i + shift_i + sum_{j>i} L[j][i] (z_j + shift_j)
-        tail = sum(
-            (L[j][i] * (z[j] + shift[j]) for j in range(i + 1, n)), Fraction(0)
-        )
-        e = Fraction(shift[i]) + tail
-        # condition: d_i (z_i + e)^2 <= remaining
-        r2 = remaining / d[i]
-        m = e.denominator
-        a0 = e.numerator
-        # w = m z_i + a0 must satisfy w^2 <= r2 m^2; w integer, so compare
-        # against the floor of the rational right-hand side
-        cap = (r2.numerator * m * m) // r2.denominator
-        w_max = isqrt(cap)
-        z_lo = -((w_max + a0) // m)
-        z_hi = (w_max - a0) // m
-        for zi in range(z_lo, z_hi + 1):
-            z[i] = zi
-            y = zi + e
-            yield from descend(i - 1, remaining - d[i] * y * y)
-        z[i] = 0
+    n = len(rows)
+    d = [row[k] for k, row in enumerate(rows)]
+    pairs = [p * q for p, q in zip([1] + d, d)]
+    scale = lcm(*pairs)
+    w = [scale // p for p in pairs]
+    x = [0] * n
 
-    yield from descend(n - 1, Fraction(bound))
+    def descend(k, remaining):
+        if k < 0:
+            yield tuple(x)
+            return
+        row, dk = rows[k], d[k]
+        t = sum(row[j] * x[j] for j in range(k + 1, n))
+        r = isqrt(remaining // w[k])
+        # ceil((-r - t) / d_k), raised into the residue class
+        lo = -((r + t) // dk)
+        lo += (residue[k] - lo) % step
+        for xk in range(lo, (r - t) // dk + 1, step):
+            x[k] = xk
+            s = dk * xk + t
+            yield from descend(k - 1, remaining - w[k] * s * s)
+
+    yield from descend(n - 1, scale * bound)
 
 
 def _canonical_sign(coords):
@@ -200,17 +215,15 @@ def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
     """All characteristic vectors c in c0 + 2L with -c^2 <= bound, one
     representative per sign pair, sorted by (-c^2, coordinates).
     """
-    _require_valid(g)
+    if type(bound) is not int:
+        raise ValueError(
+            f"bound must be an integer, got {type(bound).__name__} {bound!r}")
+    rows = _require_valid(g)
     if not is_characteristic(g, c0):
         raise ValueError("c0 is not characteristic")
     if bound < 0:
         return []
-    a_rows = [[Fraction(-x) for x in row] for row in g.entries]
-    shift = [Fraction(x, 2) for x in c0.coords]
-    seen = set()
-    for zz in _fincke_pohst(a_rows, shift, Fraction(bound, 4)):
-        c = tuple(c0_i + 2 * z_i for c0_i, z_i in zip(c0.coords, zz))
-        seen.add(_canonical_sign(c))
+    seen = {_canonical_sign(c) for c in _short_vectors(rows, bound, c0.coords, 2)}
     results = []
     for coords in seen:
         norm = _norm(g, coords)
@@ -235,7 +248,6 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     vector of norm <= n - 8, or it is at most n - 8, and the first
     enumerated vector, sorted by (norm, coordinates), is the minimizer.
     """
-    _require_valid(g)
     found = enumerate_coset_by_norm(g, find_characteristic(g), g.n - 8)
     if not found:
         return AdmissibilityVerdict(True, g.n, None)
@@ -255,14 +267,12 @@ def diagonal_witness(g: GramMatrix, max_rank: int = 8):
     are a basis.  The shell is returned sorted when it is full, and None
     otherwise (e.g. for an even lattice, which has no norm -1 vectors).
     """
-    _require_valid(g)
+    rows = _require_valid(g)
     if g.n > max_rank:
         raise ValueError(f"rank {g.n} exceeds the enumeration budget {max_rank}")
-    a_rows = [[Fraction(-x) for x in row] for row in g.entries]
-    zero_shift = [Fraction(0)] * g.n
-    shell = sorted({_canonical_sign(zz)
-                    for zz in _fincke_pohst(a_rows, zero_shift, Fraction(1))
-                    if _norm(g, zz) == 1})
+    shell = sorted({_canonical_sign(z)
+                    for z in _short_vectors(rows, 1, (0,) * g.n, 1)
+                    if _norm(g, z) == 1})
     if len(shell) != g.n:
         return None
     return [LatticeVector(v) for v in shell]

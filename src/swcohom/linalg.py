@@ -1,9 +1,11 @@
 """Small exact linear algebra toolkit over Fraction.
 
 Matrices are lists of row lists.  Everything here is exact: Gaussian
-elimination over Fraction, fraction-free Bareiss over the integers, and
-an LDL^T split for positive definite rational matrices.  Nothing in this
-module touches floating point; certification elsewhere depends on that.
+elimination over Fraction, and fraction-free Bareiss over the integers,
+whose echelon rows U_k give the integer LDL^T split
+x^T A x = sum_k (U_k . x)^2 / (U_{k-1,k-1} U_kk) of a symmetric positive
+definite A (U_{-1,-1} = 1).  Nothing in this module touches floating
+point; certification elsewhere depends on that.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "det",
-    "bareiss_leading_minors",
+    "bareiss",
     "rref",
     "nullspace",
     "invert",
     "gram_schmidt",
-    "ldl",
     "solve_mod2",
 ]
 
@@ -86,29 +87,29 @@ def det(a) -> Fraction:
     return result
 
 
-def bareiss_leading_minors(a) -> list[int]:
-    """Leading principal minors det(a[:k][:k]) for k = 1..n of an integer
-    matrix, by fraction-free Bareiss elimination (no pivoting, so a zero
-    leading minor stops with the remaining minors reported as computed;
-    fine for definiteness checks, where a zero minor already decides).
+def bareiss(a) -> list[list[int]]:
+    """Fraction-free echelon rows of an integer matrix, by Bareiss
+    elimination without pivoting (E. Bareiss, Math. Comp. 22, 1968).
+
+    Row k is the pivot row at step k: zero before column k, and its
+    diagonal entry is the leading principal minor det(a[:k+1][:k+1]).
+    A zero pivot stops the elimination, and the rows up to and including
+    it are returned; fine for definiteness checks, where a zero minor
+    already decides.
     """
     n = len(a)
     m = [[int(x) for x in row] for row in a]
-    minors = []
     prev = 1
     for k in range(n):
         pivot = m[k][k]
-        minors.append(pivot)
         if pivot == 0:
-            # definiteness is already refuted; report zeros for the rest
-            minors.extend([0] * (n - k - 1))
-            break
+            return m[:k + 1]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
-    return minors
+    return m
 
 
 def rref(a):
@@ -175,29 +176,6 @@ def gram_schmidt(vectors):
         if any(w):
             basis.append(w)
     return basis
-
-
-def ldl(a):
-    """a = L D L^T for a symmetric positive definite rational matrix:
-    returns (L unit lower triangular, d diagonal list).  Raises ValueError
-    on a nonpositive pivot, which refutes positive definiteness.
-    """
-    n = len(a)
-    L = identity(n)
-    d = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(a[j][j])
-        for k in range(j):
-            s -= d[k] * L[j][k] * L[j][k]
-        if s <= 0:
-            raise ValueError(f"pivot {j} is {s}; matrix is not positive definite")
-        d[j] = s
-        for i in range(j + 1, n):
-            t = Fraction(a[i][j])
-            for k in range(j):
-                t -= d[k] * L[i][k] * L[j][k]
-            L[i][j] = t / d[j]
-    return L, d
 
 
 def solve_mod2(a, b):

@@ -215,6 +215,12 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
     assert json.loads(err)["error"]["code"] == "parse"
 
 
+# a JSON integer of more digits than Python converts is a parse error;
+# without the limit (before Python 3.10.7) it is a plain integer
+HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                              reason="no limit on integer string conversion")
+
+
 @pytest.mark.parametrize("argv, files", [
     (["chamber", "--n", "3", "--angles", "1/2,1/0"], {}),
     (["reduce", "--problem", "{problem}", "--epsilon", "1/0"],
@@ -261,6 +267,14 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
     (["reduce", "--problem", "{problem}"],
      {"problem": {k: v for k, v in TRANSLATION_PROBLEM.items()
                   if k != "linear_part"}}),
+    (["lattice", "--gram", "{gram}"], {"gram": b"\xff[[-1]]"}),
+    pytest.param(["lattice", "--gram", "{gram}"],
+                 {"gram": b"[[-" + b"1" * 5000 + b"]]"}, marks=HUGE_INT),
+    (["lattice", "--gram", "{gram}"], {"gram": b"[" * 100000 + b"]" * 100000}),
+    (["reduce", "--problem", "{problem}"], {"problem": b"\xff{}"}),
+    pytest.param(["reduce", "--problem", "{problem}"],
+                 {"problem": b'{"domain_dim": ' + b"1" * 5000 + b"}"},
+                 marks=HUGE_INT),
     (["bound", "--d", "x", "--k", "2"], {}),
     (["reduce"], {}),
     (["frobnicate"], {}),
@@ -274,20 +288,26 @@ def test_io_and_parse_errors_exit_two(capsys, tmp_path):
         "reduce-string-compact-part", "reduce-number-piece",
         "reduce-string-vector", "reduce-string-rows",
         "reduce-top-level-list", "reduce-short-constant",
-        "reduce-missing-key",
+        "reduce-missing-key", "gram-not-utf8", "gram-huge-integer",
+        "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
     # Gram matrix or compact part of the wrong shape, a JSON value of
-    # the wrong type, and a command line argparse refuses: one
+    # the wrong type, a file that is not UTF-8, an integer too long to
+    # convert, nesting too deep to decode, and a command line argparse
+    # refuses: one
     # swcohom/error/1 line naming the input, never a traceback, usage
     # text or a Python internal
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            paths[name].write_bytes(doc)
+        else:
+            paths[name].write_text(json.dumps(doc))
     status, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (status, out) == (2, "")
     lines = err.splitlines()

@@ -1,9 +1,12 @@
-"""Lattice tests, including the brute-force coordinate-box oracle.
+"""Lattice tests, including the brute-force coordinate-box oracle and
+the Fraction Fincke-Pohst oracle.
 
 The box oracle never touches the coset or Fincke-Pohst machinery: it
 scans an axis-aligned box guaranteed to contain every vector of norm
 at most B (|c_i| <= sqrt(B * (A^-1)_ii) for c^T A c <= B) and filters
-by the characteristic congruence directly.
+by the characteristic congruence directly.  The Fraction oracle is the
+enumeration the integer one replaced: an LDL^T split over Fraction and
+a search of the shifted coset (c0 + 2z with z + c0/2 short at bound/4).
 """
 
 import itertools
@@ -28,8 +31,8 @@ from swcohom.lattices import (
     minus_identity,
     validate,
 )
-from swcohom.lattices import _fincke_pohst
-from swcohom.linalg import invert, mat_mul, transpose
+from swcohom.lattices import _require_valid, _short_vectors
+from swcohom.linalg import identity, invert, mat_mul, transpose
 
 
 def norm_of(g, coords):
@@ -108,6 +111,64 @@ def minus_d12_plus():
     ])
 
 
+def fraction_ldl(a):
+    """a = L D L^T over Fraction: (L unit lower triangular, d diagonal)."""
+    n = len(a)
+    L = identity(n)
+    d = [Fraction(0)] * n
+    for j in range(n):
+        s = Fraction(a[j][j])
+        for k in range(j):
+            s -= d[k] * L[j][k] * L[j][k]
+        assert s > 0, "not positive definite"
+        d[j] = s
+        for i in range(j + 1, n):
+            t = Fraction(a[i][j])
+            for k in range(j):
+                t -= d[k] * L[i][k] * L[j][k]
+            L[i][j] = t / d[j]
+    return L, d
+
+
+def fraction_fincke_pohst(a_rows, shift, bound):
+    """All integer z with (z + shift)^T A (z + shift) <= bound, from the
+    Fraction LDL^T split, last coordinate first; endpoints by isqrt."""
+    n = len(a_rows)
+    if bound < 0:
+        return
+    L, d = fraction_ldl(a_rows)
+    z = [0] * n
+
+    def descend(i, remaining):
+        if i < 0:
+            yield tuple(z)
+            return
+        tail = sum(
+            (L[j][i] * (z[j] + shift[j]) for j in range(i + 1, n)), Fraction(0)
+        )
+        e = Fraction(shift[i]) + tail
+        r2 = remaining / d[i]
+        m = e.denominator
+        a0 = e.numerator
+        w_max = isqrt((r2.numerator * m * m) // r2.denominator)
+        for zi in range(-((w_max + a0) // m), (w_max - a0) // m + 1):
+            z[i] = zi
+            y = zi + e
+            yield from descend(i - 1, remaining - d[i] * y * y)
+        z[i] = 0
+
+    yield from descend(n - 1, Fraction(bound))
+
+
+def oracle_coset(g, c0, bound):
+    """enumerate_coset_by_norm's coordinate list, by the Fraction oracle."""
+    a_rows = [[Fraction(-x) for x in row] for row in g.entries]
+    shift = [Fraction(x, 2) for x in c0.coords]
+    found = {canonical([c + 2 * z for c, z in zip(c0.coords, zz)])
+             for zz in fraction_fincke_pohst(a_rows, shift, Fraction(bound, 4))}
+    return sorted(found, key=lambda c: (norm_of(g, c), c))
+
+
 def doubling_oracle(g):
     """The search donaldson_admissible replaced: enumerate the coset at
     bound rank, doubling until a vector turns up, then once more at the
@@ -152,6 +213,21 @@ def test_gram_shape_errors():
         GramMatrix([[-1, 0.5], [0.5, -1]])
     with pytest.raises(ValueError):
         GramMatrix([[True]])
+
+
+def test_lattice_vector_refuses_non_integers():
+    # int() would truncate [1.9, -1.2] to the characteristic (1, -1) of
+    # -I_2 and split "12" into (1, 2)
+    for coords in ([1.9, -1.2], [1, 2.0], [True, 0], (1, None), "12", 12):
+        with pytest.raises(ValueError):
+            LatticeVector(coords)
+    assert LatticeVector((1, -2)).coords == (1, -2)
+
+
+def test_enumerate_refuses_a_non_integer_bound():
+    for bound in (2.0, 1.5, Fraction(2), True, "2"):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            enumerate_coset_by_norm(minus_identity(2), LatticeVector([1, 1]), bound)
 
 
 # -- characteristic vectors ---------------------------------------------------
@@ -220,6 +296,42 @@ def test_enumeration_matches_box_oracle():
         for bound in (0, 1, 3, 7, 12):
             got = {v.coords for v in enumerate_coset_by_norm(g, c0, bound)}
             assert got == box_oracle(g, bound), (g.entries, bound)
+
+
+def fraction_oracle_forms():
+    rng = random.Random(53)
+    bases = ([minus_identity(n) for n in range(1, 11)]
+             + [e8_gram(), direct_sum(e8_gram(), minus_identity(2)),
+                minus_d12_plus()])
+    forms = []
+    for base in bases:
+        forms.append(base)
+        for _ in range(2):
+            forms.append(conjugate(base, random_unimodular(rng, base.n)))
+    return forms
+
+
+def test_integer_enumeration_matches_fraction_oracle():
+    rng = random.Random(59)
+    for g in fraction_oracle_forms():
+        n = g.n
+        c0 = find_characteristic(g)
+        # a second base point of the same coset, coordinates beyond 0 and 1
+        c1 = LatticeVector([c + 2 * rng.randint(-2, 2) for c in c0.coords])
+        checks = [(c0, n - 8), (c1, n - 8)]
+        if n <= 10:
+            checks += [(c0, n % 8), (c1, n % 8), (c0, n)]
+        for base, bound in checks:
+            got = [v.coords for v in enumerate_coset_by_norm(g, base, bound)]
+            assert got == oracle_coset(g, base, bound), (g.entries, bound)
+        # the whole norm <= 1 ball, signs and the zero vector included
+        a_rows = [[Fraction(-x) for x in row] for row in g.entries]
+        expected = set(fraction_fincke_pohst(a_rows, [Fraction(0)] * n, Fraction(1)))
+        assert set(_short_vectors(_require_valid(g), 1, (0,) * n, 1)) == expected
+        shell = sorted({canonical(z) for z in expected if norm_of(g, z) == 1})
+        found = diagonal_witness(g, max_rank=12)
+        assert ((None if found is None else [v.coords for v in found])
+                == (shell if len(shell) == n else None))
 
 
 # -- minimum norm and admissibility ---------------------------------------------
@@ -301,9 +413,9 @@ def test_admissible_exactly_when_diagonal(g):
 
 
 def unit_shell(g):
-    # the norm-1 vectors up to sign, sorted
+    # the norm-1 vectors up to sign, sorted, by the Fraction oracle
     a_rows = [[Fraction(-x) for x in row] for row in g.entries]
-    points = _fincke_pohst(a_rows, [Fraction(0)] * g.n, Fraction(1))
+    points = fraction_fincke_pohst(a_rows, [Fraction(0)] * g.n, Fraction(1))
     return sorted({canonical(z) for z in points if norm_of(g, z) == 1})
 
 
