@@ -98,6 +98,10 @@ def _run_index(opt):
 
 
 def _run_dim(opt):
+    if opt["d"] is not None and (opt["c2"], opt["sigma"]) != (None, None):
+        # --c2 and --sigma determine d as well, and may contradict --d
+        raise CLIError(2, "parse",
+                       "give either --d or --c2 and --sigma, not both")
     if opt["d"] is not None:
         d = opt["d"]
     elif opt["c2"] is not None and opt["sigma"] is not None:

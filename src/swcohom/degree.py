@@ -1,8 +1,8 @@
 """Brouwer degree in dimensions one to three, counted exactly.
 
 The boundary of the domain is a polytope (segment endpoints, a square,
-an octahedron) so every sample point has exact rational coordinates, and
-polynomial evaluators return exact rational images.  In dimensions 2
+an octahedron) so every sample point is X/S with integers X and S > 0,
+and g returns integer images over a denominator > 0.  In dimensions 2
 and 3 one loop refines the boundary cells (the segments of the square,
 the triangles of the octahedron) until the images of the two ends of
 every cell edge have a positive dot product.  Every boundary vertex is
@@ -10,7 +10,7 @@ an integer vector P on one dyadic grid, the point P u with
 u = side / 2^MAX_DEPTH, so midpoints (P + Q) / 2 are exact integer
 vectors as long as no cell is split more than MAX_DEPTH = 24 times; the
 image cache and the table of split edges are keyed by integer tuples,
-and g alone sees the Fraction point P u.  Two budgets end the
+and g sees P u as (P num, den), u = num/den.  Two budgets end the
 refinement with an ArithmeticError: MAX_CELLS = 4096 cells in all, and
 MAX_DEPTH splits of one cell, which a zero of the map at a non-dyadic
 point of the boundary reaches after a few evaluations per level.  The
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .rational import format_rational
 
@@ -50,20 +49,19 @@ MAX_DEPTH = 24
 MAX_RAYS = 64
 
 
-def _evaluate(g, point):
-    """A positive integer multiple of g(point): it spans the same ray, so
-    every sign the degree count reads is unchanged."""
-    image = [Fraction(y) for y in g(point)]
+def _evaluate(g, X, S):
+    """g's numerators at x = X/S: over a positive denominator they span
+    the ray of the image, so every sign the degree count reads is kept."""
+    image = g(X, S)[0]
     if not any(image):
-        coords = ", ".join(format_rational(x) for x in point)
+        coords = ", ".join(format_rational(Fraction(x, S)) for x in X)
         raise ValueError(f"map vanishes on the boundary at ({coords})")
-    scale = lcm(*(y.denominator for y in image))
-    return tuple(y.numerator * (scale // y.denominator) for y in image)
+    return image
 
 
 def _degree_dim1(g, radius: Fraction) -> int:
-    left = _evaluate(g, [-radius])[0]
-    right = _evaluate(g, [radius])[0]
+    left = _evaluate(g, [-radius.numerator], radius.denominator)[0]
+    right = _evaluate(g, [radius.numerator], radius.denominator)[0]
     sign = lambda v: (v > 0) - (v < 0)
     return (sign(right) - sign(left)) // 2
 
@@ -123,10 +121,11 @@ def _refined(g, cells, unit: Fraction):
     the split evaluated, and the midpoint of every split edge.
 
     Cells are segments or triangles of integer vertices P, and g is
-    evaluated at the point P * unit.  A cell is accepted when the images
-    of the two ends of each of its edges have a positive dot product,
-    and split in two or in four otherwise.  The split is depth first,
-    within MAX_CELLS cells and MAX_DEPTH splits of any one cell.
+    evaluated at P * unit as (P num, den) for unit = num/den.  A cell is
+    accepted when the images of the two ends of each of its edges have a
+    positive dot product, and split in two or in four otherwise.  The
+    split is depth first, within MAX_CELLS cells and MAX_DEPTH splits of
+    any one cell.
     """
     num, den = unit.numerator, unit.denominator
     cache = {}
@@ -134,7 +133,7 @@ def _refined(g, cells, unit: Fraction):
 
     def image(p):
         if p not in cache:
-            cache[p] = _evaluate(g, [Fraction(x * num, den) for x in p])
+            cache[p] = _evaluate(g, [x * num for x in p], den)
         return cache[p]
 
     pending = [(cell, 0) for cell in cells]
@@ -260,16 +259,17 @@ def _ray_count(cells) -> int:
 def brouwer_degree(g, dim: int, radius) -> int:
     """Degree of g around 0 over a boundary enclosing the radius-ball.
 
-    g maps a list of ``dim`` Fractions to a list of ``dim`` Fractions and
-    must be nonvanishing on the enclosing boundary polytope.  dim 1 is a
-    sign comparison at the two endpoints.  In dims 2 and 3 one loop
-    refines the segments of the square or the triangles of the octahedron
-    on an integer grid of step side / 2^MAX_DEPTH, within MAX_CELLS = 4096
-    cells and MAX_DEPTH = 24 splits of any one cell (either budget raises
-    ArithmeticError), the dim-3 surface is closed at its hanging
-    vertices, and the degree is the signed count of image cells met by a
-    ray from 0.  All are exact integer counts; the boundary between
-    samples is not certified.
+    g(X, S) returns the map at x = X/S, for ``dim`` integers X and S > 0,
+    as (``dim`` integer numerators, one denominator > 0), the contract of
+    PolynomialMap.evaluate_scaled; the map must be nonvanishing on the
+    enclosing boundary polytope.  dim 1 is a sign comparison at the two
+    endpoints.  In dims 2 and 3 one loop refines the segments of the
+    square or the triangles of the octahedron on an integer grid of step
+    side / 2^MAX_DEPTH, within MAX_CELLS = 4096 cells and MAX_DEPTH = 24
+    splits of any one cell (either budget raises ArithmeticError), the
+    dim-3 surface is closed at its hanging vertices, and the degree is
+    the signed count of image cells met by a ray from 0.  All are exact
+    integer counts; the boundary between samples is not certified.
     """
     r = Fraction(radius)
     if r <= 0:

@@ -247,7 +247,11 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     norm is = n mod 8.  So the minimum is either n, and the coset has no
     vector of norm <= n - 8, or it is at most n - 8, and the first
     enumerated vector, sorted by (norm, coordinates), is the minimizer.
+    A full norm -1 shell (diagonal_witness) shows first that g is -I_n
+    in some basis, admissible with minimum n, without the coset.
     """
+    if diagonal_witness(g, max_rank=g.n) is not None:
+        return AdmissibilityVerdict(True, g.n, None)
     found = enumerate_coset_by_norm(g, find_characteristic(g), g.n - 8)
     if not found:
         return AdmissibilityVerdict(True, g.n, None)

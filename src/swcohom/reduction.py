@@ -21,8 +21,7 @@ l^-1(V) per piece of the compact part, whose components are the
 coordinates of y along V, then along V-perp.  Its one evaluator serves
 the miss check, which weighs the squared integer numerators into |y|^2
 and |pr_perp y|^2, and the degree, which takes the V coordinates, so
-`reduce` checks the miss condition once.  Only the values handed to
-brouwer_degree become Fractions.
+`reduce` checks the miss condition once.
 """
 
 from __future__ import annotations
@@ -286,6 +285,10 @@ def compact_to_json(c):
 
 # -- the problem ----------------------------------------------------------
 
+# the highest total degree of a compact part; the reduced map's expansion
+# and its integer evaluations grow with it
+MAX_DEGREE = 64
+
 
 class ReductionProblem(namedtuple(
         "ReductionProblem",
@@ -313,6 +316,12 @@ class ReductionProblem(namedtuple(
         r = Fraction(bound_radius)
         if r <= 0:
             raise ValueError("bound_radius must be positive")
+        degree = max(poly._max_degree for _, poly in
+                     getattr(compact_part, "pieces", [(None, compact_part)]))
+        if degree > MAX_DEGREE:
+            raise ArithmeticError(
+                f"compact_part has degree {degree}, over the budget "
+                f"MAX_DEGREE = {MAX_DEGREE}")
         if hasattr(compact_part, "covers_norm2"):
             if not compact_part.covers_norm2(4 * r * r):
                 raise ValueError(
@@ -493,8 +502,8 @@ class _ReducedMap:
     y(t) = f(B_V' t) once per piece of the compact part, in integers, as
     one PolynomialMap in t: the coordinates of y along B_V, then B_U.
     B_V' is orthogonal integer rows L_k over one denominator d', so
-    |B_V' t|^2 = sum |L_k|^2 t_k^2 / d'^2 picks the piece.  g(t), the
-    B_V coordinates, is the reduced map whose degree is taken.
+    |B_V' t|^2 = sum |L_k|^2 t_k^2 / d'^2 picks the piece.  g(T, s), the
+    B_V coordinates at t = T / s, is the reduced map whose degree is taken.
     """
 
     def __init__(self, p: ReductionProblem, v_basis):
@@ -567,9 +576,9 @@ class _ReducedMap:
         Q = sum(squares[len(self.b_v):])
         return Q + sum(squares[:len(self.b_v)]), Q, self._d2 * den * den
 
-    def g(self, t):
-        nums, den = self.evaluate_scaled(*_over_common_denominator(t))
-        return [Fraction(a, den) for a in nums[:len(self.b_v)]]
+    def g(self, T, s):
+        nums, den = self.evaluate_scaled(T, s)
+        return nums[:len(self.b_v)], den
 
 
 # -- the reduction operations ------------------------------------------------

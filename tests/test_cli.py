@@ -152,12 +152,23 @@ EDGE_ZERO_PROBLEM = {
     "bound_radius": "16",
 }
 
+# x0^1000 / 10^6 is over the degree budget MAX_DEGREE = 64
+DEGREE_1000_PROBLEM = {
+    "domain_dim": 2,
+    "target_dim": 2,
+    "linear_part": [["1", "0"], ["0", "1"]],
+    "compact_part": {"components": [[["1/1000000", [1000, 0]]], []]},
+    "bound_radius": "2",
+}
+
 
 def test_domain_errors_exit_one(capsys, tmp_path):
     face_zero = tmp_path / "face_zero.json"
     face_zero.write_text(json.dumps(FACE_ZERO_PROBLEM))
     edge_zero = tmp_path / "edge_zero.json"
     edge_zero.write_text(json.dumps(EDGE_ZERO_PROBLEM))
+    degree_1000 = tmp_path / "degree_1000.json"
+    degree_1000.write_text(json.dumps(DEGREE_1000_PROBLEM))
     for argv in (
         ["index", "--c2", "1", "--sigma", "0"],
         ["sharpscan", "--dmin", "9", "--dmax", "3"],
@@ -166,6 +177,7 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         ["dim", "--bplus", "3"],
         ["reduce", "--problem", str(face_zero)],
         ["reduce", "--problem", str(edge_zero)],
+        ["reduce", "--problem", str(degree_1000)],
     ):
         status, out, err = run(capsys, *argv)
         assert status == 1
@@ -278,6 +290,9 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["bound", "--d", "x", "--k", "2"], {}),
     (["reduce"], {}),
     (["frobnicate"], {}),
+    (["dim", "--d", "5", "--c2", "0", "--sigma", "0", "--bplus", "3"], {}),
+    (["dim", "--d", "5", "--c2", "0", "--bplus", "3"], {}),
+    (["dim", "--d", "5", "--sigma", "0", "--bplus", "3"], {}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -291,7 +306,8 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "reduce-missing-key", "gram-not-utf8", "gram-huge-integer",
         "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
-        "usage-unknown-subcommand"])
+        "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
+        "dim-d-with-c2", "dim-d-with-sigma"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a

@@ -391,6 +391,15 @@ def test_admissibility_beyond_the_doubling_search():
     assert norm_of(g, v.witness.coords) == 4
 
 
+def test_diagonal_forms_are_decided_by_the_shell():
+    # the coset at n - 8 of -I_32 holds every odd vector of norm <= 24;
+    # the full norm -1 shell decides the form without it
+    rng = random.Random(24)
+    for g in (minus_identity(32),
+              conjugate(minus_identity(24), random_unimodular(rng, 24, 24))):
+        assert donaldson_admissible(g) == AdmissibilityVerdict(True, g.n, None)
+
+
 @st.composite
 def definite_forms(draw):
     base = draw(st.sampled_from(

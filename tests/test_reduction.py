@@ -8,6 +8,7 @@ import pytest
 from problem_factory import random_problem, zero_linear_problem
 from swcohom.reduction import (
     _HALTON_BASES,
+    MAX_DEGREE,
     MissVerdict,
     PiecewisePolynomialMap,
     PolynomialMap,
@@ -19,6 +20,7 @@ from swcohom.reduction import (
     _halton_point,
     _radical_inverse,
     _ReducedMap,
+    _over_common_denominator,
     builtin_compact,
     choose_reduction_subspace,
     proper_not_bounded_demo,
@@ -126,6 +128,14 @@ def oracle_g(p, v_basis):
     return g
 
 
+def reduced_g(rmap, t):
+    # the reduced map at the Fraction point t: g takes t = T / s and
+    # returns int numerators over one int denominator > 0
+    nums, den = rmap.g(*_over_common_denominator(t))
+    assert all(type(a) is int for a in nums) and type(den) is int and den > 0
+    return [F(a, den) for a in nums]
+
+
 def naive_polynomial(m, x):
     out = []
     for comp in m.components:
@@ -157,6 +167,22 @@ def test_problem_validation():
         ReductionProblem(2, 2, [[1, 0]], zero2, 1)
     with pytest.raises(ValueError):
         ReductionProblem(2, 2, [[1, 0], [0, 1]], zero2, 0)
+
+
+def test_degree_budget():
+    identity = [[1, 0], [0, 1]]
+
+    def x0_to(e):
+        return PolynomialMap(2, [[(F(1, 10 ** 6), (e, 0))], []])
+
+    ReductionProblem(2, 2, identity, x0_to(MAX_DEGREE), 2)
+    with pytest.raises(ArithmeticError, match=f"degree {MAX_DEGREE + 1}"):
+        ReductionProblem(2, 2, identity, x0_to(MAX_DEGREE + 1), 2)
+    # every piece counts
+    pieces = PiecewisePolynomialMap([(F(1), x0_to(1)),
+                                     (None, x0_to(MAX_DEGREE + 1))])
+    with pytest.raises(ArithmeticError, match="MAX_DEGREE"):
+        ReductionProblem(2, 2, identity, pieces, 2)
 
 
 def test_piecewise_totality_enforced():
@@ -342,7 +368,7 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
                     x = [sum((tk * b[j] for tk, b in zip(t, rmap.b_vprime)),
                              F(0)) for j in range(dim)]
                     sides.add(vec_dot(x, x) <= threshold)
-                    assert rmap.g(t) == oracle(t)
+                    assert reduced_g(rmap, t) == oracle(t)
                 assert sides == {True, False} or k == 0
                 # points with |B_V' t|^2 exactly the threshold, a rational
                 # multiple of one basis vector where one exists, with an
@@ -365,8 +391,9 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
                         continue
                     for sign in (1, -1):
                         t = [sign * root * (i == j) for i in range(k)]
-                        assert rmap.g(t) == oracles[0](t)
-                        assert rmap.g(t) == oracles[1](t) != oracles[2](t)
+                        assert reduced_g(rmap, t) == oracles[0](t)
+                        assert (reduced_g(rmap, t)
+                                == oracles[1](t) != oracles[2](t))
                         on += 1
                 assert on or V != [[int(i == j) for j in range(dim)]
                                    for i in range(dim)]
@@ -378,7 +405,7 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
             rmap = _ReducedMap(p, V)
             oracle = oracle_g(p, V)
             for t in halton_ball(len(rmap.b_vprime), 2 * p.bound_radius, 24):
-                assert rmap.g(t) == oracle(t)
+                assert reduced_g(rmap, t) == oracle(t)
 
 
 def test_piecewise_threshold_is_inclusive():
