@@ -190,12 +190,10 @@ def _run_lattice(opt):
     if verdict.witness is not None:
         out["witness"] = verdict.witness.to_json()
     out["k"] = donaldson_k(-verdict.min_norm, g.n).k
-    # the characteristic vectors of -I_n have odd coordinates and norm
-    # at least n, so an inadmissible form is never diagonal
+    # a form is admissible exactly when it is diagonal (Elkies), so an
+    # admissible one has a full norm -1 shell
     if verdict.admissible and g.n <= 8:
-        basis = diagonal_witness(g)
-        if basis is not None:
-            out["diagonal_witness"] = [b.to_json() for b in basis]
+        out["diagonal_witness"] = [b.to_json() for b in diagonal_witness(g)]
     return out
 
 

@@ -159,8 +159,7 @@ def find_characteristic(g: GramMatrix) -> LatticeVector:
     _require_valid(g)
     diag = [g.entries[i][i] for i in range(g.n)]
     x = solve_mod2([list(row) for row in g.entries], diag)
-    if x is None:
-        raise ValueError("no characteristic vector; matrix is not unimodular")
+    assert x is not None
     c = LatticeVector(x)
     assert is_characteristic(g, c)
     return c
@@ -253,8 +252,9 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     if diagonal_witness(g, max_rank=g.n) is not None:
         return AdmissibilityVerdict(True, g.n, None)
     found = enumerate_coset_by_norm(g, find_characteristic(g), g.n - 8)
-    if not found:
-        return AdmissibilityVerdict(True, g.n, None)
+    # the shell was not full, so g is not -I_n, and Elkies and van der
+    # Blij put its minimum at n - 8 or below: the coset is never empty
+    assert found
     witness = found[0]
     return AdmissibilityVerdict(False, _norm(g, witness.coords), witness)
 

@@ -144,6 +144,11 @@ class PolynomialMap:
 
     __call__ = _call_scaled
 
+    @property
+    def pieces(self):
+        """The one piece of a compact part that is a single polynomial."""
+        return ((None, self),)
+
     def to_json(self):
         return {
             "components": [
@@ -185,9 +190,6 @@ class PiecewisePolynomialMap:
 
     __call__ = _call_scaled
 
-    def covers_norm2(self, norm2_bound: Fraction) -> bool:
-        return any(t is None or t >= norm2_bound for t, _ in self.pieces)
-
     def to_json(self):
         return {
             "pieces": [
@@ -200,10 +202,17 @@ class PiecewisePolynomialMap:
         }
 
 
+def _only_keys(obj, keys, what):
+    # a key the format does not name is refused, never ignored
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} {key!r}")
+
+
 def builtin_compact(name, dim, params=None, target_dim=None):
     """Registered compact parts on R^dim: "zero" (to R^target_dim,
-    R^dim when not given), "constant" (takes a vector), and
-    "complex_square_minus_one" (z^2 - 1 on R^2).
+    R^dim when not given), "constant" (takes a vector, its only
+    parameter), and "complex_square_minus_one" (z^2 - 1 on R^2).
     """
     params = params or {}
     if name == "zero":
@@ -225,8 +234,8 @@ def builtin_compact(name, dim, params=None, target_dim=None):
         )
     else:
         raise ValueError(f"unknown builtin compact part {name!r}")
-    m.builtin_name = name
-    m.builtin_params = params
+    _only_keys(params, ("vector",) if name == "constant" else (),
+               f"builtin {name!r} takes no parameter")
     return m
 
 
@@ -252,6 +261,9 @@ def _polynomial_from_json(components, input_dim):
 
 
 def compact_from_json(obj, input_dim, target_dim):
+    """The compact part of one JSON representation: a builtin with its own
+    parameters, pieces, or components, and no other key.
+    """
     _expect(obj, dict, "compact_part")
     if "builtin" in obj:
         params = {k: v for k, v in obj.items() if k != "builtin"}
@@ -266,21 +278,15 @@ def compact_from_json(obj, input_dim, target_dim):
             threshold = None if t is None else parse_rational(t)
             pieces.append(
                 (threshold, _polynomial_from_json(piece["components"], input_dim)))
-        return PiecewisePolynomialMap(pieces)
-    if "components" in obj:
-        return _polynomial_from_json(obj["components"], input_dim)
-    raise ValueError("compact_part must give a builtin, pieces, or components")
-
-
-def compact_to_json(c):
-    name = getattr(c, "builtin_name", None)
-    if name is not None:
-        out = {"builtin": name}
-        params = getattr(c, "builtin_params", {})
-        if "vector" in params:
-            out["vector"] = [format_rational(Fraction(v)) for v in params["vector"]]
-        return out
-    return c.to_json()
+            _only_keys(piece, ("if_norm2_le", "components"), "a piece takes no key")
+        compact_part, kind = PiecewisePolynomialMap(pieces), "pieces"
+    elif "components" in obj:
+        compact_part = _polynomial_from_json(obj["components"], input_dim)
+        kind = "components"
+    else:
+        raise ValueError("compact_part must give a builtin, pieces, or components")
+    _only_keys(obj, (kind,), f"compact_part with {kind} takes no key")
+    return compact_part
 
 
 # -- the problem ----------------------------------------------------------
@@ -296,8 +302,11 @@ class ReductionProblem(namedtuple(
     """f = linear_part + compact_part on R^domain_dim -> R^target_dim,
     with the author's certificate that |f(x)| >= 1 once |x| >= bound_radius.
 
-    The compact part must be evaluable on the ball of radius
-    2 * bound_radius: net construction and boundary work sample there.
+    A compact part is its `pieces`, (threshold or None, PolynomialMap)
+    pairs, as PolynomialMap and PiecewisePolynomialMap give them.  Each
+    piece maps R^domain_dim to R^target_dim within MAX_DEGREE, and some
+    piece covers the ball of radius 2 * bound_radius, where net
+    construction and boundary work sample.
     """
 
     __slots__ = ()
@@ -316,17 +325,21 @@ class ReductionProblem(namedtuple(
         r = Fraction(bound_radius)
         if r <= 0:
             raise ValueError("bound_radius must be positive")
-        degree = max(poly._max_degree for _, poly in
-                     getattr(compact_part, "pieces", [(None, compact_part)]))
-        if degree > MAX_DEGREE:
-            raise ArithmeticError(
-                f"compact_part has degree {degree}, over the budget "
-                f"MAX_DEGREE = {MAX_DEGREE}")
-        if hasattr(compact_part, "covers_norm2"):
-            if not compact_part.covers_norm2(4 * r * r):
+        for _, poly in compact_part.pieces:
+            if poly.input_dim != domain_dim:
                 raise ValueError(
-                    "compact_part does not cover the ball of radius 2R"
-                )
+                    f"compact_part has input_dim {poly.input_dim}, "
+                    f"domain_dim is {domain_dim}")
+            if len(poly.components) != target_dim:
+                raise ValueError(
+                    f"compact_part needs {target_dim} components, "
+                    f"got {len(poly.components)}")
+            if poly._max_degree > MAX_DEGREE:
+                raise ArithmeticError(
+                    f"compact_part has degree {poly._max_degree}, over the "
+                    f"budget MAX_DEGREE = {MAX_DEGREE}")
+        if not any(t is None or t >= 4 * r * r for t, _ in compact_part.pieces):
+            raise ValueError("compact_part does not cover the ball of radius 2R")
         return super().__new__(cls, domain_dim, target_dim, rows, compact_part, r)
 
     def f(self, x):
@@ -347,16 +360,6 @@ class ReductionProblem(namedtuple(
         target_dim = _strict_int(obj["target_dim"], "target_dim")
         compact_part = compact_from_json(obj["compact_part"], domain_dim,
                                          target_dim)
-        # a polynomial, every piece and every builtin needs one component
-        # per target coordinate
-        polys = ([poly for _, poly in compact_part.pieces]
-                 if isinstance(compact_part, PiecewisePolynomialMap)
-                 else [compact_part])
-        for poly in polys:
-            if len(poly.components) != target_dim:
-                raise ValueError(
-                    f"compact_part needs {target_dim} components, "
-                    f"got {len(poly.components)}")
         return cls(
             domain_dim=domain_dim,
             target_dim=target_dim,
@@ -372,7 +375,7 @@ class ReductionProblem(namedtuple(
             "linear_part": [
                 [format_rational(x) for x in row] for row in self.linear_part
             ],
-            "compact_part": compact_to_json(self.compact_part),
+            "compact_part": self.compact_part.to_json(),
             "bound_radius": format_rational(self.bound_radius),
         }
 
@@ -536,8 +539,7 @@ class _ReducedMap:
             return monomials[e]
 
         pieces = []
-        for threshold, c in getattr(p.compact_part, "pieces",
-                                    [(None, p.compact_part)]):
+        for threshold, c in p.compact_part.pieces:
             # f = l + c, l's rows as degree-1 terms; padded to the maximum
             # degree m, D d'^m (y . B) is an integer polynomial in t
             f = [comp + [(a, tuple(int(j == i) for j in range(n)))

@@ -279,6 +279,26 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["reduce", "--problem", "{problem}"],
      {"problem": {k: v for k, v in TRANSLATION_PROBLEM.items()
                   if k != "linear_part"}}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": "zero", "vector": ["5", "0"]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": "zero", "components": [[["5", [0, 0]]], []]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "pieces": [{"if_norm2_le": None, "components": [[], []]}],
+         "components": [[["5", [0, 0]]], []]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": "constant", "vector": ["1", "0"], "vectr": ["5", "0"]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={"pieces": [
+         {"if_norm2_ge": "100", "components": [[["5", [0, 0]]], []]},
+         {"if_norm2_le": None, "components": [[], []]}]})}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, compact_part={
+         "builtin": ["zero"]})}),
     (["lattice", "--gram", "{gram}"], {"gram": b"\xff[[-1]]"}),
     pytest.param(["lattice", "--gram", "{gram}"],
                  {"gram": b"[[-" + b"1" * 5000 + b"]]"}, marks=HUGE_INT),
@@ -303,7 +323,10 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "reduce-string-compact-part", "reduce-number-piece",
         "reduce-string-vector", "reduce-string-rows",
         "reduce-top-level-list", "reduce-short-constant",
-        "reduce-missing-key", "gram-not-utf8", "gram-huge-integer",
+        "reduce-missing-key", "reduce-zero-with-vector",
+        "reduce-builtin-with-components", "reduce-pieces-with-components",
+        "reduce-constant-misspelled-key", "reduce-piece-unknown-key",
+        "reduce-list-builtin-name", "gram-not-utf8", "gram-huge-integer",
         "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
@@ -311,7 +334,8 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
-    # Gram matrix or compact part of the wrong shape, a JSON value of
+    # Gram matrix or compact part of the wrong shape, a compact part or
+    # piece with a key its representation does not take, a JSON value of
     # the wrong type, a file that is not UTF-8, an integer too long to
     # convert, nesting too deep to decode, and a command line argparse
     # refuses: one
@@ -338,6 +362,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     assert "object" not in message and "indices" not in message
     if request.node.callspec.id == "reduce-missing-key":
         assert message.endswith("missing key 'linear_part'")
+    if request.node.callspec.id == "reduce-list-builtin-name":
+        assert "unknown builtin compact part ['zero']" in message
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms

@@ -185,6 +185,20 @@ def test_degree_budget():
         ReductionProblem(2, 2, identity, pieces, 2)
 
 
+def test_every_piece_has_the_problem_shape():
+    # wrong component count or input_dim, for a plain polynomial and for
+    # one piece of a piecewise map, is refused when the problem is built
+    identity = [[1, 0], [0, 1]]
+    ok = PolynomialMap(2, [[(F(5), (0, 0))], []])
+    for bad, message in (
+            (PolynomialMap(2, [[(F(5), (0, 0))]]), "needs 2 components, got 1"),
+            (PolynomialMap(1, [[(F(1), (1,))], []]), "input_dim 1"),
+    ):
+        for compact in (bad, PiecewisePolynomialMap([(F(1), ok), (None, bad)])):
+            with pytest.raises(ValueError, match=message):
+                ReductionProblem(2, 2, identity, compact, 2)
+
+
 def test_piecewise_totality_enforced():
     inside = PolynomialMap(2, [[], []])
     capped = PiecewisePolynomialMap([(F(1), inside)])
@@ -193,14 +207,19 @@ def test_piecewise_totality_enforced():
 
 
 def test_json_roundtrip_builtin():
-    p = identity_problem(
-        2, builtin_compact("constant", 2, {"vector": [F(1, 2), F(-3)]}), 4
-    )
-    blob = json.dumps(p.to_json())
-    q = ReductionProblem.from_json(json.loads(blob))
-    x = [F(1, 3), F(-2, 5)]
-    assert q.f(x) == p.f(x)
-    assert q.bound_radius == p.bound_radius
+    # a builtin is written as its components and read back as the same map
+    for p in (
+        identity_problem(
+            2, builtin_compact("constant", 2, {"vector": [F(1, 2), F(-3)]}), 4),
+        ReductionProblem(3, 2, [[1, 0, 0], [0, 1, 0]],
+                         builtin_compact("zero", 3, target_dim=2), 2),
+        identity_problem(2, builtin_compact("complex_square_minus_one", 2), 3),
+    ):
+        blob = json.dumps(p.to_json())
+        q = ReductionProblem.from_json(json.loads(blob))
+        x = [F(1, 3), F(-2, 5), F(3, 7)][:p.domain_dim]
+        assert q.f(x) == p.f(x)
+        assert q.bound_radius == p.bound_radius
 
 
 def test_json_roundtrip_piecewise():
@@ -346,7 +365,8 @@ def test_miss_verdict_matches_oracle_on_small_and_skew_cases():
                           builtin_compact("complex_square_minus_one", 2), 3),
          [[1, 1]]),
         (ReductionProblem(3, 2, [[1, 0, 0], [0, 1, 0]],
-                          builtin_compact("zero", 2), 2), [[1, 0]]),
+                          builtin_compact("zero", 3, target_dim=2), 2),
+         [[1, 0]]),
     ]
     for p, V in cases:
         assert verify_miss_condition(p, V) == oracle_miss(p, V)
@@ -486,7 +506,7 @@ def test_degree_invariant_across_subspaces():
 
 def test_index_must_vanish():
     p = ReductionProblem(3, 2, [[1, 0, 0], [0, 1, 0]],
-                         builtin_compact("zero", 2), 2)
+                         builtin_compact("zero", 3, target_dim=2), 2)
     with pytest.raises(ValueError):
         reduce_and_degree(p, [[1, 0]])
 
