@@ -23,12 +23,7 @@ from .divisibility import (
     sw_divisibility_lower_bound,
 )
 from .fourmanifold import dirac_index_d, donaldson_k, expected_moduli_dimension
-from .lattices import (
-    GramMatrix,
-    diagonal_witness,
-    donaldson_admissible,
-    validate,
-)
+from .lattices import GramMatrix, donaldson_admissible, validate
 from .rational import format_rational, parse_rational
 from .reduction import (
     ReductionProblem,
@@ -165,9 +160,14 @@ def _run_sharpscan(opt):
 
 def _run_lattice(opt):
     doc = _load_json(opt["gram"])
-    entries = doc.get("gram", doc) if isinstance(doc, dict) else doc
+    if isinstance(doc, dict):
+        # {"gram": matrix} and nothing else
+        extra = sorted(set(doc) - {"gram"})
+        if extra:
+            raise CLIError(2, "parse", f"bad Gram matrix: unknown keys {extra}")
+        doc = doc.get("gram", doc)
     try:
-        g = GramMatrix(entries)
+        g = GramMatrix(doc)
     except (TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad Gram matrix: {exc}") from exc
     v = validate(g)
@@ -190,10 +190,10 @@ def _run_lattice(opt):
     if verdict.witness is not None:
         out["witness"] = verdict.witness.to_json()
     out["k"] = donaldson_k(-verdict.min_norm, g.n).k
-    # a form is admissible exactly when it is diagonal (Elkies), so an
-    # admissible one has a full norm -1 shell
+    # a form is admissible exactly when it is diagonal (Elkies), and its
+    # verdict carries the norm -1 shell that shows it
     if verdict.admissible and g.n <= 8:
-        out["diagonal_witness"] = [b.to_json() for b in diagonal_witness(g)]
+        out["diagonal_witness"] = [b.to_json() for b in verdict.basis]
     return out
 
 

@@ -6,6 +6,14 @@ divisible by every denominator of a(p, 0), ..., a(p, kappa) where
 p = d - 1 - kappa.  For k <= 4 the exact kernel and cokernel orders are
 known in closed form, which lets us say when the divisibility bound is
 attained and when it is strictly weaker.
+
+The bound and the scan take d <= MAX_D = 1000, checked before any work;
+a larger d is an ArithmeticError.  Up to it every a(p, l) has numerator
+and denominator below 2^d (d-1)!, under 2900 digits, so its text never
+reaches Python's default limit of 4300 digits for integer conversion:
+|a(p, l)| is at most the coefficient C(p+l-1, l) < 2^d of
+(xi/(1-xi))^p, and the denominator divides (p+1)...(p+l), p + l < d.
+A scan to d costs about d^2 integer operations, a bound about d k.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .series import taylor_coefficients_a
+
+MAX_D = 1000
 
 __all__ = [
     "DivisibilityReport",
@@ -79,6 +89,12 @@ def hurewicz_cokernel_order(d: int, k: int) -> int:
     raise ValueError(f"cokernel order is only known for k in {{0, 2, 4}}, got {k}")
 
 
+def _check_budget(d: int):
+    if d > MAX_D:
+        raise ArithmeticError(
+            f"divisibility budget exceeded: d must be at most {MAX_D}")
+
+
 def sw_divisibility_lower_bound(d: int, k: int) -> DivisibilityReport:
     """Divisibility bound for m(d, k): lcm of denominators of a(p, 0..k/2).
 
@@ -91,6 +107,7 @@ def sw_divisibility_lower_bound(d: int, k: int) -> DivisibilityReport:
     p = d - 1 - kappa
     if p < 1:
         raise ValueError(f"no positive p for d={d}, k={k} (p = d-1-k/2 = {p})")
+    _check_budget(d)
     a = taylor_coefficients_a(p, kappa)
     denominators = tuple(c.denominator for c in a)
     lower_bound = lcm(*denominators)
@@ -130,6 +147,7 @@ def sharpness_scan(d_min: int, d_max: int) -> list[DivisibilityReport]:
     """
     if not 2 <= d_min <= d_max:
         raise ValueError(f"need 2 <= d_min <= d_max, got {d_min}..{d_max}")
+    _check_budget(d_max)
     reports = []
     for d in range(d_min, d_max + 1):
         for k in (2, 4):

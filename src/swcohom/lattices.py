@@ -5,19 +5,22 @@ The admissibility question: does every characteristic vector c satisfy
 intersection pairing of a closed oriented smooth 4-manifold; -E8 is the
 standard inadmissible example, diag(-1,...,-1) the admissible one.
 
-Characteristic vectors form a single coset c0 + 2L.  All enumeration is
-in integers, on the fraction-free Bareiss rows U_k of A = -G that
-validation computes.  With the leading minors d_k = U_kk (d_{-1} = 1)
-they split the form as x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
+Characteristic vectors form a single coset c0 + 2L.  Every search is one
+walk in integers, on the fraction-free Bareiss rows U_k of A = -G that
+validation computes, in reversed coordinates.  With the leading minors
+d_k = U_kk (d_{-1} = 1) they split the form as
+x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
 fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
 lcm_k d_{k-1} d_k every term is an integer, so each Fincke-Pohst
 coordinate range costs one integer square root, never a float or a
-Fraction.
+Fraction.  A walk stops with an ArithmeticError after MAX_NODES
+coordinate values.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from math import isqrt, lcm
 
 from .linalg import bareiss, solve_mod2
@@ -89,19 +92,24 @@ class LatticeVector(namedtuple("LatticeVector", "coords")):
 
 
 ValidationResult = namedtuple("ValidationResult", "valid failure", defaults=(None,))
-AdmissibilityVerdict = namedtuple("AdmissibilityVerdict", "admissible min_norm witness")
+AdmissibilityVerdict = namedtuple("AdmissibilityVerdict",
+                                  "admissible min_norm witness basis")
+
+# coordinate values one walk may try before it gives up
+MAX_NODES = 1 << 20
 
 
 def _eliminate(g: GramMatrix):
     """(failure, rows): the first check g fails, or None, and the Bareiss
-    rows of -G (None when g is not symmetric).
+    rows of -G in reversed coordinates (None when g is not symmetric);
+    by Sylvester's criterion the order does not change the verdict.
     """
     e = g.entries
     for i in range(g.n):
         for j in range(i):
             if e[i][j] != e[j][i]:
                 return "not symmetric", None
-    rows = bareiss([[-x for x in row] for row in e])
+    rows = bareiss([[-x for x in reversed(row)] for row in reversed(e)])
     if len(rows) < g.n or any(row[k] <= 0 for k, row in enumerate(rows)):
         return "not negative definite", rows
     # det(-G) = last minor; |det G| = |det(-G)|
@@ -113,9 +121,9 @@ def _eliminate(g: GramMatrix):
 def validate(g: GramMatrix) -> ValidationResult:
     """Check symmetry, negative definiteness, and |det| = 1, in that order.
 
-    Definiteness is decided by the leading principal minors of -G, all of
-    which must be positive; they are the diagonal of its fraction-free
-    Bareiss rows, so the verdict is exact.
+    Definiteness is decided by the leading principal minors of -G in
+    reversed coordinates, all of which must be positive; they are the
+    diagonal of its fraction-free Bareiss rows, so the verdict is exact.
     """
     failure, _ = _eliminate(g)
     return ValidationResult(failure is None, failure)
@@ -129,16 +137,6 @@ def _require_valid(g: GramMatrix):
     return rows
 
 
-def _norm(g: GramMatrix, coords) -> int:
-    # -c^T G c, a nonnegative integer for negative definite G
-    total = 0
-    for i, ci in enumerate(coords):
-        if ci:
-            row = g.entries[i]
-            total += ci * sum(rj * cj for rj, cj in zip(row, coords) if cj)
-    return -total
-
-
 def is_characteristic(g: GramMatrix, c: LatticeVector) -> bool:
     """True iff <c, e_i> = <e_i, e_i> mod 2 for every basis vector e_i."""
     if len(c.coords) != g.n:
@@ -150,6 +148,14 @@ def is_characteristic(g: GramMatrix, c: LatticeVector) -> bool:
     return True
 
 
+def _characteristic(g: GramMatrix):
+    # find_characteristic's coordinates, for a g already validated
+    x = solve_mod2([list(row) for row in g.entries],
+                   [g.entries[i][i] for i in range(g.n)])
+    assert x is not None and is_characteristic(g, LatticeVector(x))
+    return x
+
+
 def find_characteristic(g: GramMatrix) -> LatticeVector:
     """Some characteristic vector, from solving G c = diag(G) over GF(2).
 
@@ -157,57 +163,55 @@ def find_characteristic(g: GramMatrix) -> LatticeVector:
     for a valid Gram matrix.
     """
     _require_valid(g)
-    diag = [g.entries[i][i] for i in range(g.n)]
-    x = solve_mod2([list(row) for row in g.entries], diag)
-    assert x is not None
-    c = LatticeVector(x)
-    assert is_characteristic(g, c)
-    return c
+    return LatticeVector(_characteristic(g))
 
 
 def _short_vectors(rows, bound: int, residue, step: int):
-    """All integer x with x = residue (mod step) and x^T A x <= bound,
-    for A positive definite with Bareiss rows `rows` and bound >= 0.
+    """(x^T A x, x) for each integer x = residue (mod step) with
+    x^T A x <= bound, in lexicographic order, one per sign pair +-x: the
+    one whose first nonzero coordinate is positive.  A is positive
+    definite with Bareiss rows `rows` in reversed coordinates y_k =
+    x_{n-1-k}, and bound >= 0.
 
     With d_k = rows[k][k] and d_{-1} = 1 the form is
-    sum_k (U_k . x)^2 / (d_{k-1} d_k); times scale = lcm_k d_{k-1} d_k
-    each term is the integer w_k (U_k . x)^2.  Coordinates are fixed from the
-    last down (U. Fincke and M. Pohst, Math. Comp. 44, 1985): given
-    x_{k+1}, ..., with t = sum_{j>k} U_kj x_j, x_k is every value with
-    |d_k x_k + t| <= isqrt(remaining // w_k).
+    sum_k (U_k . y)^2 / (d_{k-1} d_k); times scale = lcm_k d_{k-1} d_k
+    each term is the integer w_k (U_k . y)^2.  Coordinates are fixed from
+    the last y down, so x_0 first (U. Fincke and M. Pohst, Math. Comp. 44,
+    1985): given y_{k+1}, ..., with t = sum_{j>k} U_kj y_j, y_k ascends
+    through every value with |d_k y_k + t| <= isqrt(remaining // w_k),
+    and y_k >= 0 while every coordinate before it is 0.
     """
     n = len(rows)
     d = [row[k] for k, row in enumerate(rows)]
     pairs = [p * q for p, q in zip([1] + d, d)]
     scale = lcm(*pairs)
     w = [scale // p for p in pairs]
-    x = [0] * n
+    y = [0] * n
+    residue = residue[::-1]
+    nodes = 0
 
-    def descend(k, remaining):
+    def descend(k, remaining, signed):
+        nonlocal nodes
         if k < 0:
-            yield tuple(x)
+            yield bound - remaining // scale, tuple(reversed(y))
             return
         row, dk = rows[k], d[k]
-        t = sum(row[j] * x[j] for j in range(k + 1, n))
+        t = sum(row[j] * y[j] for j in range(k + 1, n))
         r = isqrt(remaining // w[k])
-        # ceil((-r - t) / d_k), raised into the residue class
-        lo = -((r + t) // dk)
+        # ceil((-r - t) / d_k), or 0 while t = 0 and no sign is fixed,
+        # raised into the residue class
+        lo = -((r + t) // dk) if signed else 0
         lo += (residue[k] - lo) % step
-        for xk in range(lo, (r - t) // dk + 1, step):
-            x[k] = xk
-            s = dk * xk + t
-            yield from descend(k - 1, remaining - w[k] * s * s)
+        for yk in range(lo, (r - t) // dk + 1, step):
+            nodes += 1
+            if nodes > MAX_NODES:
+                raise ArithmeticError("lattice search budget exceeded")
+            y[k] = yk
+            s = dk * yk + t
+            yield from descend(k - 1, remaining - w[k] * s * s,
+                               signed or yk != 0)
 
-    yield from descend(n - 1, scale * bound)
-
-
-def _canonical_sign(coords):
-    for x in coords:
-        if x > 0:
-            return tuple(coords)
-        if x < 0:
-            return tuple(-y for y in coords)
-    return tuple(coords)
+    yield from descend(n - 1, scale * bound, False)
 
 
 def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
@@ -222,44 +226,46 @@ def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
         raise ValueError("c0 is not characteristic")
     if bound < 0:
         return []
-    seen = {_canonical_sign(c) for c in _short_vectors(rows, bound, c0.coords, 2)}
-    results = []
-    for coords in seen:
-        norm = _norm(g, coords)
-        # van der Blij: any characteristic vector has -c^2 = n mod 8
-        assert (norm - g.n) % 8 == 0, (coords, norm, g.n)
-        results.append((norm, coords))
-    results.sort()
-    return [LatticeVector(coords) for _, coords in results]
+    found = sorted(_short_vectors(rows, bound, c0.coords, 2))
+    # van der Blij: any characteristic vector has -c^2 = n mod 8
+    assert all((norm - g.n) % 8 == 0 for norm, _ in found), found
+    return [LatticeVector(coords) for _, coords in found]
+
+
+def _unit_basis(rows):
+    # diagonal_witness, from the Bareiss rows
+    shell = tuple(LatticeVector(z) for norm, z
+                  in _short_vectors(rows, 1, (0,) * len(rows), 1) if norm == 1)
+    return shell if len(shell) == len(rows) else None
 
 
 def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
-    """Admissible iff every characteristic c has -c^2 >= rank; when it
-    fails, a concrete minimizing witness is attached.
+    """Admissible iff every characteristic c has -c^2 >= rank; a failure
+    carries a minimizing witness, a success the basis of diagonal_witness.
 
-    One coset enumeration at bound n - 8 decides it.  By Elkies' theorem
-    (N. Elkies, "A characterization of the Z^n lattice", Math. Res.
-    Lett. 2, 1995) the minimum characteristic norm of a definite
-    unimodular lattice of rank n is at most n, with equality only for
-    Z^n; by van der Blij's congruence (F. van der Blij, "An invariant of
-    quadratic forms mod 8", Indag. Math. 21, 1959) every characteristic
-    norm is = n mod 8.  So the minimum is either n, and the coset has no
-    vector of norm <= n - 8, or it is at most n - 8, and the first
-    enumerated vector, sorted by (norm, coordinates), is the minimizer.
-    A full norm -1 shell (diagonal_witness) shows first that g is -I_n
-    in some basis, admissible with minimum n, without the coset.
+    By Elkies' theorem (N. Elkies, "A characterization of the Z^n
+    lattice", Math. Res. Lett. 2, 1995) the minimum characteristic norm
+    of a definite unimodular lattice of rank n is at most n, with
+    equality only for Z^n; by van der Blij's congruence (F. van der Blij,
+    "An invariant of quadratic forms mod 8", Indag. Math. 21, 1959) every
+    characteristic norm is = n mod 8.  So a full norm -1 shell decides
+    the admissible forms; for the rest the coset is walked at bounds
+    n mod 8, n mod 8 + 8, ..., n - 8, and the first vector found is the
+    witness: its bound is the minimum, and it comes first by coordinates
+    among the vectors there.  All walks share one elimination.
     """
-    if diagonal_witness(g, max_rank=g.n) is not None:
-        return AdmissibilityVerdict(True, g.n, None)
-    found = enumerate_coset_by_norm(g, find_characteristic(g), g.n - 8)
-    # the shell was not full, so g is not -I_n, and Elkies and van der
-    # Blij put its minimum at n - 8 or below: the coset is never empty
-    assert found
-    witness = found[0]
-    return AdmissibilityVerdict(False, _norm(g, witness.coords), witness)
+    rows = _require_valid(g)
+    basis = _unit_basis(rows)
+    if basis is not None:
+        return AdmissibilityVerdict(True, g.n, None, basis)
+    c0 = _characteristic(g)
+    # Elkies: the bound n - 8 always holds a vector
+    norm, witness = next(chain.from_iterable(
+        _short_vectors(rows, b, c0, 2) for b in range(g.n % 8, g.n - 7, 8)))
+    return AdmissibilityVerdict(False, norm, LatticeVector(witness), None)
 
 
-def diagonal_witness(g: GramMatrix, max_rank: int = 8):
+def diagonal_witness(g: GramMatrix):
     """The n pairwise orthogonal vectors of norm -1 when g is diagonal,
     else None.
 
@@ -268,18 +274,11 @@ def diagonal_witness(g: GramMatrix, max_rank: int = 8):
     to sign, is an orthogonal set of at most n vectors.  It has exactly n
     when g is diagonal: n of them span a sublattice with Gram -I_n and
     determinant of the same absolute value as g, so by unimodularity they
-    are a basis.  The shell is returned sorted when it is full, and None
-    otherwise (e.g. for an even lattice, which has no norm -1 vectors).
+    are a basis.  The shell is returned, in lexicographic order, when it is
+    full, and None otherwise (e.g. for an even lattice, which has no norm
+    -1 vectors).
     """
-    rows = _require_valid(g)
-    if g.n > max_rank:
-        raise ValueError(f"rank {g.n} exceeds the enumeration budget {max_rank}")
-    shell = sorted({_canonical_sign(z)
-                    for z in _short_vectors(rows, 1, (0,) * g.n, 1)
-                    if _norm(g, z) == 1})
-    if len(shell) != g.n:
-        return None
-    return [LatticeVector(v) for v in shell]
+    return _unit_basis(_require_valid(g))
 
 
 def minus_identity(n: int) -> GramMatrix:

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from math import factorial, log10
 
 import pytest
 
+from swcohom import lattices
 from swcohom.cli import main
+from swcohom.divisibility import MAX_D
 from swcohom.lattices import e8_gram
 
 
@@ -173,6 +176,9 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         ["index", "--c2", "1", "--sigma", "0"],
         ["sharpscan", "--dmin", "9", "--dmax", "3"],
         ["bound", "--d", "2", "--k", "4"],
+        # past the divisibility budget, refused before any work
+        ["bound", "--d", "3000", "--k", "3000"],
+        ["sharpscan", "--dmin", "2", "--dmax", "100000"],
         ["chamber", "--n", "1", "--angles", "1/2,1"],
         ["dim", "--bplus", "3"],
         ["reduce", "--problem", str(face_zero)],
@@ -183,6 +189,31 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         assert status == 1
         assert out == ""
         assert json.loads(err)["error"]["code"] == "domain"
+
+
+def test_lattice_node_budget_is_a_domain_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(lattices, "MAX_NODES", 8)
+    path = tmp_path / "i3.json"
+    path.write_text(json.dumps([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
+    status, out, err = run(capsys, "lattice", "--gram", str(path))
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "domain", "message": "lattice search budget exceeded"}
+
+
+def test_divisibility_budget_edge_stays_under_the_digit_limit(capsys):
+    # every numerator and denominator up to d = MAX_D is below
+    # 2^d (d-1)! (see swcohom.divisibility), under the 4300 digits that
+    # Python converts to text by default; of every even k at d = 1000,
+    # k = 1728 gives the longest numerator or denominator
+    assert (2 ** MAX_D * factorial(MAX_D - 1)).bit_length() * log10(2) < 4300
+    doc = run_json(capsys, "bound", "--d", str(MAX_D), "--k", "1728")
+    digits = max(len(part.lstrip("-"))
+                 for c in doc["a_coeffs"] for part in c.split("/"))
+    assert digits == 1963
+    doc = run_json(capsys, "sharpscan", "--dmin", str(MAX_D - 1),
+                   "--dmax", str(MAX_D))
+    assert [row["d"] for row in doc["rows"]] == [MAX_D - 1] * 2 + [MAX_D] * 2
 
 
 def test_zero_builtin_has_one_component_per_target_coordinate(capsys, tmp_path):
@@ -313,6 +344,7 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["dim", "--d", "5", "--c2", "0", "--sigma", "0", "--bplus", "3"], {}),
     (["dim", "--d", "5", "--c2", "0", "--bplus", "3"], {}),
     (["dim", "--d", "5", "--sigma", "0", "--bplus", "3"], {}),
+    (["lattice", "--gram", "{gram}"], {"gram": {"gram": [[-1]], "extra": 1}}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -330,7 +362,7 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
-        "dim-d-with-c2", "dim-d-with-sigma"])
+        "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
@@ -364,6 +396,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
         assert message.endswith("missing key 'linear_part'")
     if request.node.callspec.id == "reduce-list-builtin-name":
         assert "unknown builtin compact part ['zero']" in message
+    if request.node.callspec.id == "gram-extra-key":
+        assert message.endswith("unknown keys ['extra']")
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms

@@ -9,7 +9,9 @@ from math import gcd
 
 import pytest
 
+from swcohom import divisibility
 from swcohom.divisibility import (
+    MAX_D,
     DivisibilityReport,
     hurewicz_cokernel_order,
     hurewicz_kernel_order,
@@ -181,3 +183,18 @@ def test_scan_rejects_empty_range():
         sharpness_scan(5, 4)
     with pytest.raises(ValueError):
         sharpness_scan(1, 4)
+
+
+def test_budget_is_checked_before_any_work(monkeypatch):
+    def no_work(p, kappa):
+        raise AssertionError("a(p, l) computed past the budget")
+
+    monkeypatch.setattr(divisibility, "taylor_coefficients_a", no_work)
+    message = f"divisibility budget exceeded: d must be at most {MAX_D}"
+    with pytest.raises(ArithmeticError, match=message):
+        sw_divisibility_lower_bound(MAX_D + 1, 2 * MAX_D - 2)
+    with pytest.raises(ArithmeticError, match=message):
+        sharpness_scan(2, MAX_D + 1)
+    # invalid arguments keep their own errors
+    with pytest.raises(ValueError):
+        sharpness_scan(MAX_D + 2, MAX_D + 1)

@@ -25,13 +25,20 @@ GOLDEN = Path(__file__).parent / "golden" / "lattice_hashes.json"
 
 
 def forms():
-    # -I_n, -E8 + -I_k and -D12+, two seeded conjugates of each, then one
-    # form for each way validate() refuses
+    # -I_n, -E8 + -I_k, -D12+ and four forms of rank 16 to 24, two seeded
+    # conjugates of each, then one form for each way validate() refuses
     bases = [(f"minus_identity{n}", minus_identity(n)) for n in range(1, 13)]
     bases += [(f"e8_plus_identity{k}",
                direct_sum(e8_gram(), minus_identity(k)) if k else e8_gram())
               for k in range(5)]
     bases.append(("minus_d12_plus", minus_d12_plus()))
+    # rank 16 to 24, where the verdict is a first-hit search
+    e8 = e8_gram()
+    bases += [("e8_plus_e8", direct_sum(e8, e8)),
+              ("e8_plus_identity16", direct_sum(e8, minus_identity(16))),
+              ("e8_plus_e8_plus_e8", direct_sum(e8, e8, e8)),
+              ("d12_plus_plus_d12_plus",
+               direct_sum(minus_d12_plus(), minus_d12_plus()))]
     for name, g in bases:
         yield name, g.to_json()
         rng = random.Random(f"lattice-bytes:{name}")

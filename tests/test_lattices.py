@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swcohom import lattices
 from swcohom.lattices import (
     AdmissibilityVerdict,
     GramMatrix,
@@ -183,8 +184,9 @@ def doubling_oracle(g):
         bound *= 2
     m = norm_of(g, found[0].coords)
     if m >= g.n:
-        return AdmissibilityVerdict(True, m, None)
-    return AdmissibilityVerdict(False, m, enumerate_coset_by_norm(g, c0, m)[0])
+        return AdmissibilityVerdict(True, m, None, diagonal_witness(g))
+    return AdmissibilityVerdict(
+        False, m, enumerate_coset_by_norm(g, c0, m)[0], None)
 
 
 # -- validation -------------------------------------------------------------
@@ -324,12 +326,15 @@ def test_integer_enumeration_matches_fraction_oracle():
         for base, bound in checks:
             got = [v.coords for v in enumerate_coset_by_norm(g, base, bound)]
             assert got == oracle_coset(g, base, bound), (g.entries, bound)
-        # the whole norm <= 1 ball, signs and the zero vector included
+        # the whole norm <= 1 ball, one vector per sign pair, the zero
+        # vector included, in lexicographic order with its norms
         a_rows = [[Fraction(-x) for x in row] for row in g.entries]
         expected = set(fraction_fincke_pohst(a_rows, [Fraction(0)] * n, Fraction(1)))
-        assert set(_short_vectors(_require_valid(g), 1, (0,) * n, 1)) == expected
+        ball = sorted({canonical(z) for z in expected})
+        assert (list(_short_vectors(_require_valid(g), 1, (0,) * n, 1))
+                == [(norm_of(g, z), z) for z in ball])
         shell = sorted({canonical(z) for z in expected if norm_of(g, z) == 1})
-        found = diagonal_witness(g, max_rank=12)
+        found = diagonal_witness(g)
         assert ((None if found is None else [v.coords for v in found])
                 == (shell if len(shell) == n else None))
 
@@ -379,10 +384,11 @@ def test_admissibility_matches_doubling_oracle():
 def test_admissibility_beyond_the_doubling_search():
     # verdicts known from the structure of each lattice; the doubling
     # search took seconds on each of these
-    v = donaldson_admissible(minus_identity(14))
-    assert v == AdmissibilityVerdict(True, 14, None)
+    g = minus_identity(14)
+    v = donaldson_admissible(g)
+    assert v == AdmissibilityVerdict(True, 14, None, diagonal_witness(g))
     v = donaldson_admissible(direct_sum(e8_gram(), e8_gram()))
-    assert v == AdmissibilityVerdict(False, 0, LatticeVector([0] * 16))
+    assert v == AdmissibilityVerdict(False, 0, LatticeVector([0] * 16), None)
     g = minus_d12_plus()
     assert validate(g).valid
     v = donaldson_admissible(g)
@@ -397,7 +403,8 @@ def test_diagonal_forms_are_decided_by_the_shell():
     rng = random.Random(24)
     for g in (minus_identity(32),
               conjugate(minus_identity(24), random_unimodular(rng, 24, 24))):
-        assert donaldson_admissible(g) == AdmissibilityVerdict(True, g.n, None)
+        assert donaldson_admissible(g) == AdmissibilityVerdict(
+            True, g.n, None, diagonal_witness(g))
 
 
 @st.composite
@@ -479,7 +486,7 @@ def test_diagonal_witness_matches_backtracking_oracle():
         assert all(pairing(g, u, v) == 0
                    for u, v in itertools.combinations(shell, 2))
         assert len(shell) <= g.n
-        found = diagonal_witness(g, max_rank=12)
+        found = diagonal_witness(g)
         expected = backtracking_oracle(g)
         assert (None if found is None else [v.coords for v in found]) == expected
         assert (found is not None) == donaldson_admissible(g).admissible
@@ -509,9 +516,17 @@ def test_diagonal_witness_conjugated():
             assert pair == (-1 if i == j else 0)
 
 
-def test_diagonal_witness_rank_budget():
-    with pytest.raises(ValueError):
-        diagonal_witness(minus_identity(9))
+def test_node_budget(monkeypatch):
+    # the norm -1 shell of -I_3 takes 9 coordinate values: x_0 in 0..1;
+    # under x_0 = 0, x_1 in 0..1 and x_2 in 0..1 or 0; under x_0 = 1,
+    # x_1 = x_2 = 0
+    monkeypatch.setattr(lattices, "MAX_NODES", 8)
+    with pytest.raises(ArithmeticError, match="lattice search budget exceeded"):
+        donaldson_admissible(minus_identity(3))
+    with pytest.raises(ArithmeticError, match="lattice search budget exceeded"):
+        diagonal_witness(minus_identity(3))
+    monkeypatch.setattr(lattices, "MAX_NODES", 9)
+    assert donaldson_admissible(minus_identity(3)).admissible
 
 
 # -- congruence ---------------------------------------------------------------------

@@ -43,7 +43,7 @@ RECORDS = [
      "ValidationResult(valid=False, failure='not symmetric')"),
     (lambda: donaldson_admissible(e8_gram()),
      "AdmissibilityVerdict(admissible=False, min_norm=0, "
-     "witness=LatticeVector(coords=(0, 0, 0, 0, 0, 0, 0, 0)))"),
+     "witness=LatticeVector(coords=(0, 0, 0, 0, 0, 0, 0, 0)), basis=None)"),
     (lambda: DegreeReport(subspace_V=((Fraction(1), Fraction(0)),),
                           reduced_dim=1, degree=-1, epsilon=Fraction(1, 4),
                           miss=MissVerdict(True, Fraction(1, 3), 160)),
