@@ -8,28 +8,10 @@ exit status distinguishes domain errors (1) from I/O and parse errors
 (2).  Output is deterministic: identical inputs give identical bytes.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
 from collections import namedtuple
-
-from .chamber import make_path, signed_preimage_count, wall_crossing_jump
-from .divisibility import (
-    hurewicz_cokernel_order,
-    hurewicz_kernel_order,
-    sharpness_scan,
-    sw_divisibility_lower_bound,
-)
-from .fourmanifold import dirac_index_d, donaldson_k, expected_moduli_dimension
-from .lattices import GramMatrix, donaldson_admissible, validate
-from .rational import format_rational, parse_rational
-from .reduction import (
-    ReductionProblem,
-    choose_reduction_subspace,
-    reduce_and_degree,
-)
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -73,6 +55,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _rational_option(flag, text):
     # parsed here rather than by argparse, whose type errors say only
     # "invalid value" and drop the reason parse_rational gives
+    from .rational import parse_rational
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -80,9 +63,13 @@ def _rational_option(flag, text):
 
 
 # -- subcommand handlers ----------------------------------------------------
+#
+# Each handler imports the layer it runs, so that a process loads only
+# what its subcommand needs.
 
 
 def _run_index(opt):
+    from .fourmanifold import dirac_index_d
     d = dirac_index_d(opt["c2"], opt["sigma"])
     return {
         "schema": "swcohom/index/1",
@@ -93,6 +80,7 @@ def _run_index(opt):
 
 
 def _run_dim(opt):
+    from .fourmanifold import dirac_index_d, expected_moduli_dimension
     if opt["d"] is not None and (opt["c2"], opt["sigma"]) != (None, None):
         # --c2 and --sigma determine d as well, and may contradict --d
         raise CLIError(2, "parse",
@@ -113,6 +101,7 @@ def _run_dim(opt):
 
 
 def _bound_row(r):
+    from .rational import format_rational
     return {
         "d": r.d,
         "k": r.k,
@@ -127,6 +116,7 @@ def _bound_row(r):
 
 
 def _run_bound(opt):
+    from .divisibility import sw_divisibility_lower_bound
     r = sw_divisibility_lower_bound(opt["d"], opt["k"])
     out = {"schema": "swcohom/bound/1"}
     out.update(_bound_row(r))
@@ -134,6 +124,7 @@ def _run_bound(opt):
 
 
 def _run_hurewicz(opt):
+    from .divisibility import hurewicz_cokernel_order, hurewicz_kernel_order
     d = opt["d"]
     ks = [opt["k"]] if opt["k"] is not None else [0, 1, 2, 3, 4]
     orders = []
@@ -147,6 +138,7 @@ def _run_hurewicz(opt):
 
 
 def _run_sharpscan(opt):
+    from .divisibility import sharpness_scan
     rows = sharpness_scan(opt["dmin"], opt["dmax"])
     if opt["k"] is not None:
         rows = [r for r in rows if r.k == opt["k"]]
@@ -159,6 +151,8 @@ def _run_sharpscan(opt):
 
 
 def _run_lattice(opt):
+    from .fourmanifold import donaldson_k
+    from .lattices import GramMatrix, _decide
     doc = _load_json(opt["gram"])
     if isinstance(doc, dict):
         # {"gram": matrix} and nothing else
@@ -170,21 +164,21 @@ def _run_lattice(opt):
         g = GramMatrix(doc)
     except (TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad Gram matrix: {exc}") from exc
-    v = validate(g)
+    # one elimination gives both the failure and the verdict
+    failure, verdict = _decide(g)
     out = {
         "schema": "swcohom/lattice/1",
         "rank": g.n,
-        "valid": v.valid,
-        "failure": v.failure,
+        "valid": failure is None,
+        "failure": failure,
         "min_characteristic_norm": None,
         "admissible": None,
         "witness": None,
         "k": None,
         "diagonal_witness": None,
     }
-    if not v.valid:
+    if verdict is None:
         return out
-    verdict = donaldson_admissible(g)
     out["min_characteristic_norm"] = verdict.min_norm
     out["admissible"] = verdict.admissible
     if verdict.witness is not None:
@@ -198,6 +192,12 @@ def _run_lattice(opt):
 
 
 def _run_reduce(opt):
+    from .rational import format_rational
+    from .reduction import (
+        ReductionProblem,
+        choose_reduction_subspace,
+        reduce_and_degree,
+    )
     epsilon = _rational_option("--epsilon", opt["epsilon"])
     if opt["samples"] < 1:
         raise CLIError(2, "parse",
@@ -234,6 +234,8 @@ def _run_reduce(opt):
 
 
 def _run_chamber(opt):
+    from .chamber import make_path, signed_preimage_count, wall_crossing_jump
+    from .rational import format_rational
     angles = [_rational_option("--angles", part)
               for part in opt["angles"].split(",")]
     path = make_path(opt["n"])

@@ -11,11 +11,7 @@ implemented: which flavor of b2 it means is ambiguous in the b1 > 0
 case, and nothing downstream needs it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-
-from .divisibility import DivisibilityReport, k_from_bplus, sw_divisibility_lower_bound
 
 __all__ = [
     "FourManifoldData",
@@ -73,15 +69,18 @@ def expected_moduli_dimension(d: int, b_plus: int) -> int:
     return 2 * d - b_plus - 1
 
 
-def divisibility_constraint(m: FourManifoldData) -> DivisibilityReport:
-    """The divisibility bound that applies to the integer Seiberg-Witten
-    invariant of a manifold with this data: the invariant is divisible by
-    the report's lower_bound.
+def divisibility_constraint(m: FourManifoldData):
+    """The DivisibilityReport of the bound that applies to the integer
+    Seiberg-Witten invariant of a manifold with this data: the invariant
+    is divisible by the report's lower_bound.
 
     Requires b1 = 0 and odd b_plus > 1 (so that the invariant is defined
     as an integer and the stable-homotopy comparison applies), d >= 2 and
     even k >= 0.
     """
+    # imported here: the other functions are integer bookkeeping, and
+    # the divisibility layer brings in Fraction arithmetic
+    from .divisibility import k_from_bplus, sw_divisibility_lower_bound
     if m.b1 != 0:
         raise ValueError(f"constraint requires b1 = 0, got b1 = {m.b1}")
     if m.b_plus <= 1 or m.b_plus % 2 == 0:

@@ -17,13 +17,9 @@ Fraction.  A walk stops with an ArithmeticError after MAX_NODES
 coordinate values.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import chain
 from math import isqrt, lcm
-
-from .linalg import bareiss, solve_mod2
 
 __all__ = [
     "GramMatrix",
@@ -99,6 +95,60 @@ AdmissibilityVerdict = namedtuple("AdmissibilityVerdict",
 MAX_NODES = 1 << 20
 
 
+def _bareiss(a) -> list[list[int]]:
+    """Fraction-free echelon rows of an integer matrix, by Bareiss
+    elimination without pivoting (E. Bareiss, Math. Comp. 22, 1968).
+
+    Row k is the pivot row at step k: zero before column k, and its
+    diagonal entry is the leading principal minor det(a[:k+1][:k+1]).
+    A zero pivot stops the elimination, and the rows up to and including
+    it are returned; fine for definiteness checks, where a zero minor
+    already decides.
+    """
+    n = len(a)
+    m = [list(row) for row in a]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0:
+            return m[:k + 1]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return m
+
+
+def _solve_mod2(a, b):
+    """One solution of a x = b over GF(2), or None if inconsistent.
+
+    Input entries are integers taken mod 2; free variables are set to 0.
+    """
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    m = [[x & 1 for x in row] + [bi & 1] for row, bi in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                m[i] = [(x + y) & 1 for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n_rows):
+        if m[i][n_cols]:
+            return None
+    x = [0] * n_cols
+    for row_idx, c in enumerate(pivots):
+        x[c] = m[row_idx][n_cols]
+    return x
+
+
 def _eliminate(g: GramMatrix):
     """(failure, rows): the first check g fails, or None, and the Bareiss
     rows of -G in reversed coordinates (None when g is not symmetric);
@@ -109,7 +159,7 @@ def _eliminate(g: GramMatrix):
         for j in range(i):
             if e[i][j] != e[j][i]:
                 return "not symmetric", None
-    rows = bareiss([[-x for x in reversed(row)] for row in reversed(e)])
+    rows = _bareiss([[-x for x in reversed(row)] for row in reversed(e)])
     if len(rows) < g.n or any(row[k] <= 0 for k, row in enumerate(rows)):
         return "not negative definite", rows
     # det(-G) = last minor; |det G| = |det(-G)|
@@ -150,8 +200,7 @@ def is_characteristic(g: GramMatrix, c: LatticeVector) -> bool:
 
 def _characteristic(g: GramMatrix):
     # find_characteristic's coordinates, for a g already validated
-    x = solve_mod2([list(row) for row in g.entries],
-                   [g.entries[i][i] for i in range(g.n)])
+    x = _solve_mod2(g.entries, [g.entries[i][i] for i in range(g.n)])
     assert x is not None and is_characteristic(g, LatticeVector(x))
     return x
 
@@ -254,7 +303,11 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     witness: its bound is the minimum, and it comes first by coordinates
     among the vectors there.  All walks share one elimination.
     """
-    rows = _require_valid(g)
+    return _verdict(g, _require_valid(g))
+
+
+def _verdict(g: GramMatrix, rows) -> AdmissibilityVerdict:
+    # donaldson_admissible, from the Bareiss rows of a valid g
     basis = _unit_basis(rows)
     if basis is not None:
         return AdmissibilityVerdict(True, g.n, None, basis)
@@ -263,6 +316,16 @@ def donaldson_admissible(g: GramMatrix) -> AdmissibilityVerdict:
     norm, witness = next(chain.from_iterable(
         _short_vectors(rows, b, c0, 2) for b in range(g.n % 8, g.n - 7, 8)))
     return AdmissibilityVerdict(False, norm, LatticeVector(witness), None)
+
+
+def _decide(g: GramMatrix):
+    """(failure, verdict): validate's failure, and donaldson_admissible's
+    verdict when there is none (else None), from one elimination.
+    """
+    failure, rows = _eliminate(g)
+    if failure is not None:
+        return failure, None
+    return None, _verdict(g, rows)
 
 
 def diagonal_witness(g: GramMatrix):

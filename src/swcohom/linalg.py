@@ -1,10 +1,7 @@
 """Small exact linear algebra toolkit over Fraction.
 
-Matrices are lists of row lists.  Everything here is exact: Gaussian
-elimination over Fraction, and fraction-free Bareiss over the integers,
-whose echelon rows U_k give the integer LDL^T split
-x^T A x = sum_k (U_k . x)^2 / (U_{k-1,k-1} U_kk) of a symmetric positive
-definite A (U_{-1,-1} = 1).  Nothing in this module touches floating
+Matrices are lists of row lists.  Everything here is exact Gaussian
+elimination over Fraction.  Nothing in this module touches floating
 point; certification elsewhere depends on that.
 """
 
@@ -22,12 +19,10 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "det",
-    "bareiss",
     "rref",
     "nullspace",
     "invert",
     "gram_schmidt",
-    "solve_mod2",
 ]
 
 
@@ -85,31 +80,6 @@ def det(a) -> Fraction:
             if factor:
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return result
-
-
-def bareiss(a) -> list[list[int]]:
-    """Fraction-free echelon rows of an integer matrix, by Bareiss
-    elimination without pivoting (E. Bareiss, Math. Comp. 22, 1968).
-
-    Row k is the pivot row at step k: zero before column k, and its
-    diagonal entry is the leading principal minor det(a[:k+1][:k+1]).
-    A zero pivot stops the elimination, and the rows up to and including
-    it are returned; fine for definiteness checks, where a zero minor
-    already decides.
-    """
-    n = len(a)
-    m = [[int(x) for x in row] for row in a]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0:
-            return m[:k + 1]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return m
 
 
 def rref(a):
@@ -176,32 +146,3 @@ def gram_schmidt(vectors):
         if any(w):
             basis.append(w)
     return basis
-
-
-def solve_mod2(a, b):
-    """One solution of a x = b over GF(2), or None if inconsistent.
-
-    Input entries are integers taken mod 2; free variables are set to 0.
-    """
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    m = [[x & 1 for x in row] + [bi & 1] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                m[i] = [(x + y) & 1 for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if m[i][n_cols]:
-            return None
-    x = [0] * n_cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][n_cols]
-    return x

@@ -352,6 +352,7 @@ class ReductionProblem(namedtuple(
     @classmethod
     def from_json(cls, obj) -> "ReductionProblem":
         _expect(obj, dict, "the top level")
+        _only_keys(obj, cls._fields, "the top level takes no key")
         linear = [
             [parse_rational(x) for x in _expect(row, list, "a linear_part row")]
             for row in _expect(obj["linear_part"], list, "linear_part")

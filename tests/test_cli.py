@@ -1,12 +1,14 @@
 """Exit codes, JSON shape, and determinism of the command-line front end."""
 
 import json
+import pkgutil
 import subprocess
 import sys
 from math import factorial, log10
 
 import pytest
 
+import swcohom
 from swcohom import lattices
 from swcohom.cli import main
 from swcohom.divisibility import MAX_D
@@ -345,6 +347,8 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["dim", "--d", "5", "--c2", "0", "--bplus", "3"], {}),
     (["dim", "--d", "5", "--sigma", "0", "--bplus", "3"], {}),
     (["lattice", "--gram", "{gram}"], {"gram": {"gram": [[-1]], "extra": 1}}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, extra_key=1)}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -362,17 +366,17 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
-        "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key"])
+        "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key",
+        "reduce-extra-key"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
-    # Gram matrix or compact part of the wrong shape, a compact part or
-    # piece with a key its representation does not take, a JSON value of
-    # the wrong type, a file that is not UTF-8, an integer too long to
-    # convert, nesting too deep to decode, and a command line argparse
-    # refuses: one
-    # swcohom/error/1 line naming the input, never a traceback, usage
-    # text or a Python internal
+    # Gram matrix or compact part of the wrong shape, a problem, compact
+    # part or piece with a key its representation does not take, a JSON
+    # value of the wrong type, a file that is not UTF-8, an integer too
+    # long to convert, nesting too deep to decode, and a command line
+    # argparse refuses: one swcohom/error/1 line naming the input, never
+    # a traceback, usage text or a Python internal
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -398,6 +402,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
         assert "unknown builtin compact part ['zero']" in message
     if request.node.callspec.id == "gram-extra-key":
         assert message.endswith("unknown keys ['extra']")
+    if request.node.callspec.id == "reduce-extra-key":
+        assert message.endswith("takes no key 'extra_key'")
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -523,16 +529,47 @@ def test_module_invocation_roundtrip():
     assert counts == [1, 0]
 
 
-def test_cli_imports_only_the_standard_library():
-    # diff sys.modules around the import: site may already have loaded
-    # third-party modules before it
-    code = ("import sys; before = set(sys.modules); import swcohom.cli; "
-            "print('\\n'.join(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+# a child process runs one statement and then prints, on standard error,
+# the modules that statement loaded; site may already have loaded
+# third-party modules before it
+_CHILD = ("import sys; before = set(sys.modules); {}; "
+          "print('\\n'.join(sorted(set(sys.modules) - before)), file=sys.stderr)")
+_RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
+        "assert status == 0")
+_SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
+_DIVISIBILITY_ABSENT = {"swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
+
+
+@pytest.mark.parametrize("statement, argv, absent", [
+    ("import swcohom", [], _SUBMODULES),
+    ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"}),
+    (_RUN, ["lattice", "--gram", "{gram}"],
+     {"fractions", "decimal"} | {f"swcohom.{m}" for m in (
+         "reduction", "degree", "linalg", "series", "divisibility",
+         "chamber", "chern")}),
+    (_RUN, ["index", "--c2", "40", "--sigma", "0"], {"fractions"}),
+    (_RUN, ["dim", "--d", "5", "--bplus", "3"], {"fractions"}),
+    (_RUN, ["hurewicz", "--d", "6"], _DIVISIBILITY_ABSENT),
+    (_RUN, ["bound", "--d", "300", "--k", "114"], _DIVISIBILITY_ABSENT),
+    (_RUN, ["reduce", "--problem", "{problem}"],
+     {f"swcohom.{m}" for m in (
+         "lattices", "divisibility", "series", "chamber", "chern")}),
+], ids=["import-package", "import-cli", "lattice", "index", "dim",
+        "hurewicz", "bound", "reduce"])
+def test_import_footprint(tmp_path, statement, argv, absent):
+    # each subcommand loads only its own layer and the standard library
+    paths = {"gram": tmp_path / "gram.json", "problem": tmp_path / "problem.json"}
+    paths["gram"].write_text(json.dumps(e8_gram().to_json()))
+    paths["problem"].write_text(json.dumps(TRANSLATION_PROBLEM))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(statement),
+         *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.split()
-    assert "swcohom.cli" in added
+    added = proc.stderr.split()
+    # the child loaded what it ran, so the absences below mean something
+    assert ("swcohom.cli" if "cli" in statement else "swcohom") in added
+    assert sorted(absent.intersection(added)) == []
     foreign = [m for m in added
                if m.partition(".")[0] not in sys.stdlib_module_names
                and m.partition(".")[0] != "swcohom"]
