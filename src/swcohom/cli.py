@@ -11,9 +11,8 @@ exit status distinguishes domain errors (1) from I/O and parse errors
 import argparse
 import json
 import sys
-from collections import namedtuple
 
-__all__ = ["RunConfig", "dispatch", "main"]
+__all__ = ["main"]
 
 
 class CLIError(Exception):
@@ -27,9 +26,6 @@ class CLIError(Exception):
 
 def _domain(message):
     return CLIError(1, "domain", message)
-
-
-RunConfig = namedtuple("RunConfig", "subcommand options")
 
 
 def _load_json(path):
@@ -64,38 +60,38 @@ def _rational_option(flag, text):
 
 # -- subcommand handlers ----------------------------------------------------
 #
-# Each handler imports the layer it runs, so that a process loads only
-# what its subcommand needs.
+# Each handler takes the parsed arguments and imports the layer it runs,
+# so that a process loads only what its subcommand needs.
 
 
-def _run_index(opt):
+def _run_index(args):
     from .fourmanifold import dirac_index_d
-    d = dirac_index_d(opt["c2"], opt["sigma"])
+    d = dirac_index_d(args.c2, args.sigma)
     return {
         "schema": "swcohom/index/1",
-        "c_squared": opt["c2"],
-        "signature": opt["sigma"],
+        "c_squared": args.c2,
+        "signature": args.sigma,
         "d": d,
     }
 
 
-def _run_dim(opt):
+def _run_dim(args):
     from .fourmanifold import dirac_index_d, expected_moduli_dimension
-    if opt["d"] is not None and (opt["c2"], opt["sigma"]) != (None, None):
+    if args.d is not None and (args.c2, args.sigma) != (None, None):
         # --c2 and --sigma determine d as well, and may contradict --d
         raise CLIError(2, "parse",
                        "give either --d or --c2 and --sigma, not both")
-    if opt["d"] is not None:
-        d = opt["d"]
-    elif opt["c2"] is not None and opt["sigma"] is not None:
-        d = dirac_index_d(opt["c2"], opt["sigma"])
+    if args.d is not None:
+        d = args.d
+    elif args.c2 is not None and args.sigma is not None:
+        d = dirac_index_d(args.c2, args.sigma)
     else:
         raise _domain("need either --d or both --c2 and --sigma")
-    k = expected_moduli_dimension(d, opt["bplus"])
+    k = expected_moduli_dimension(d, args.bplus)
     return {
         "schema": "swcohom/dim/1",
         "d": d,
-        "b_plus": opt["bplus"],
+        "b_plus": args.bplus,
         "k": k,
     }
 
@@ -115,18 +111,18 @@ def _bound_row(r):
     }
 
 
-def _run_bound(opt):
+def _run_bound(args):
     from .divisibility import sw_divisibility_lower_bound
-    r = sw_divisibility_lower_bound(opt["d"], opt["k"])
+    r = sw_divisibility_lower_bound(args.d, args.k)
     out = {"schema": "swcohom/bound/1"}
     out.update(_bound_row(r))
     return out
 
 
-def _run_hurewicz(opt):
+def _run_hurewicz(args):
     from .divisibility import hurewicz_cokernel_order, hurewicz_kernel_order
-    d = opt["d"]
-    ks = [opt["k"]] if opt["k"] is not None else [0, 1, 2, 3, 4]
+    d = args.d
+    ks = [args.k] if args.k is not None else [0, 1, 2, 3, 4]
     orders = []
     for k in ks:
         kernel = hurewicz_kernel_order(d, k)
@@ -137,23 +133,23 @@ def _run_hurewicz(opt):
     return {"schema": "swcohom/hurewicz/1", "d": d, "orders": orders}
 
 
-def _run_sharpscan(opt):
+def _run_sharpscan(args):
     from .divisibility import sharpness_scan
-    rows = sharpness_scan(opt["dmin"], opt["dmax"])
-    if opt["k"] is not None:
-        rows = [r for r in rows if r.k == opt["k"]]
+    rows = sharpness_scan(args.dmin, args.dmax)
+    if args.k is not None:
+        rows = [r for r in rows if r.k == args.k]
     return {
         "schema": "swcohom/sharpscan/1",
-        "d_min": opt["dmin"],
-        "d_max": opt["dmax"],
+        "d_min": args.dmin,
+        "d_max": args.dmax,
         "rows": [_bound_row(r) for r in rows],
     }
 
 
-def _run_lattice(opt):
+def _run_lattice(args):
     from .fourmanifold import donaldson_k
     from .lattices import GramMatrix, _decide
-    doc = _load_json(opt["gram"])
+    doc = _load_json(args.gram)
     if isinstance(doc, dict):
         # {"gram": matrix} and nothing else
         extra = sorted(set(doc) - {"gram"})
@@ -191,18 +187,18 @@ def _run_lattice(opt):
     return out
 
 
-def _run_reduce(opt):
+def _run_reduce(args):
     from .rational import format_rational
     from .reduction import (
         ReductionProblem,
         choose_reduction_subspace,
         reduce_and_degree,
     )
-    epsilon = _rational_option("--epsilon", opt["epsilon"])
-    if opt["samples"] < 1:
+    epsilon = _rational_option("--epsilon", args.epsilon)
+    if args.samples < 1:
         raise CLIError(2, "parse",
-                       f"bad --samples: need at least 1, got {opt['samples']}")
-    doc = _load_json(opt["problem"])
+                       f"bad --samples: need at least 1, got {args.samples}")
+    doc = _load_json(args.problem)
     try:
         p = ReductionProblem.from_json(doc)
     except KeyError as exc:
@@ -210,15 +206,15 @@ def _run_reduce(opt):
                        f"bad reduction problem: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CLIError(2, "parse", f"bad reduction problem: {exc}") from exc
-    v_basis = choose_reduction_subspace(p, epsilon, opt["samples"])
-    report = reduce_and_degree(p, v_basis, epsilon)
+    v_basis = choose_reduction_subspace(p, epsilon, args.samples)
+    report = reduce_and_degree(p, v_basis)
     miss = report.miss
     return {
         "schema": "swcohom/reduce/1",
         "domain_dim": p.domain_dim,
         "target_dim": p.target_dim,
         "index": p.index(),
-        "epsilon": format_rational(report.epsilon),
+        "epsilon": format_rational(epsilon),
         "reduced_dim": report.reduced_dim,
         "subspace_V": [
             [format_rational(x) for x in v] for v in report.subspace_V
@@ -233,12 +229,12 @@ def _run_reduce(opt):
     }
 
 
-def _run_chamber(opt):
+def _run_chamber(args):
     from .chamber import make_path, signed_preimage_count, wall_crossing_jump
     from .rational import format_rational
     angles = [_rational_option("--angles", part)
-              for part in opt["angles"].split(",")]
-    path = make_path(opt["n"])
+              for part in args.angles.split(",")]
+    path = make_path(args.n)
     counts = []
     for alpha in angles:
         c = signed_preimage_count(path, alpha)
@@ -249,35 +245,10 @@ def _run_chamber(opt):
         })
     return {
         "schema": "swcohom/chamber/1",
-        "n": opt["n"],
+        "n": args.n,
         "counts": counts,
         "jump": wall_crossing_jump(path),
     }
-
-
-_HANDLERS = {
-    "index": _run_index,
-    "dim": _run_dim,
-    "bound": _run_bound,
-    "hurewicz": _run_hurewicz,
-    "sharpscan": _run_sharpscan,
-    "lattice": _run_lattice,
-    "reduce": _run_reduce,
-    "chamber": _run_chamber,
-}
-
-
-def dispatch(config: RunConfig) -> dict:
-    """Route a validated config to its handler and return the report."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        raise CLIError(2, "parse", f"unknown subcommand {config.subcommand!r}")
-    try:
-        return handler(config.options)
-    except CLIError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise _domain(str(exc)) from exc
 
 
 # -- table rendering --------------------------------------------------------
@@ -329,37 +300,45 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("index", help="Dirac index d = (c^2 - sigma)/8")
+    p.set_defaults(run=_run_index)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--sigma", type=int, required=True)
 
     p = sub.add_parser("dim", help="expected moduli dimension 2d - b+ - 1")
+    p.set_defaults(run=_run_dim)
     p.add_argument("--d", type=int)
     p.add_argument("--c2", type=int)
     p.add_argument("--sigma", type=int)
     p.add_argument("--bplus", type=int, required=True)
 
     p = sub.add_parser("bound", help="divisibility lower bound for m(d, k)")
+    p.set_defaults(run=_run_bound)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("hurewicz", help="kernel/cokernel orders near the bottom cell")
+    p.set_defaults(run=_run_hurewicz)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int)
 
     p = sub.add_parser("sharpscan", help="bound vs cokernel order over a d range")
+    p.set_defaults(run=_run_sharpscan)
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--k", type=int, choices=(2, 4))
 
     p = sub.add_parser("lattice", help="validate a Gram matrix and test admissibility")
+    p.set_defaults(run=_run_lattice)
     p.add_argument("--gram", required=True, metavar="FILE")
 
     p = sub.add_parser("reduce", help="finite-dimensional reduction and degree")
+    p.set_defaults(run=_run_reduce)
     p.add_argument("--problem", required=True, metavar="FILE")
     p.add_argument("--epsilon", default="1/4")
     p.add_argument("--samples", type=int, default=128)
 
     p = sub.add_parser("chamber", help="signed counts and the wall-crossing jump")
+    p.set_defaults(run=_run_chamber)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--angles", required=True,
                    help="comma-separated rationals, units of pi")
@@ -369,9 +348,10 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        options = {k: v for k, v in vars(args).items()
-                   if k not in ("subcommand", "format")}
-        report = dispatch(RunConfig(subcommand=args.subcommand, options=options))
+        try:
+            report = args.run(args)
+        except (ArithmeticError, ValueError) as exc:
+            raise _domain(str(exc)) from exc
     except CLIError as exc:
         doc = {
             "schema": "swcohom/error/1",

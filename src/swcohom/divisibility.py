@@ -130,11 +130,13 @@ def sw_divisibility_lower_bound(d: int, k: int) -> DivisibilityReport:
 
 def k_from_bplus(d: int, b_plus: int) -> int:
     """Degree k = 2d - 2p - 2 = 2d - b_plus - 1 probed by a four-manifold
-    with first Betti number 0 and the given odd b_plus = 2p + 1 >= 3.
+    with first Betti number 0 and the given odd b_plus = 2p + 1 >= 3:
+    expected_moduli_dimension, refused when negative.
     """
-    if b_plus < 3 or b_plus % 2 == 0:
-        raise ValueError(f"b_plus must be odd and >= 3, got {b_plus}")
-    k = 2 * d - b_plus - 1
+    # imported here: bound, hurewicz and sharpscan never get here, and
+    # the four-manifold records cost about 1 ms to build
+    from .fourmanifold import expected_moduli_dimension
+    k = expected_moduli_dimension(d, b_plus)
     if k < 0:
         raise ValueError(f"negative degree k={k} for d={d}, b_plus={b_plus}")
     return k

@@ -13,23 +13,23 @@ __all__ = ["parse_rational", "format_rational"]
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or plain "num") into a Fraction.
 
-    Raises TypeError when ``text`` is not a str (a JSON number, say), and
-    ValueError on malformed input, including float-looking strings and a
-    zero denominator.
+    The one grammar is ASCII -?[0-9]+(/[0-9]+)? with a nonzero
+    denominator: no sign on the denominator, no "+", no spaces, no
+    underscores and no other digits.  Raises TypeError when ``text`` is
+    not a str (a JSON number, say), and ValueError on anything else that
+    does not match, float-looking strings included.
     """
     if not isinstance(text, str):
         raise TypeError(
             f"expected a \"num/den\" string, got {type(text).__name__} {text!r}")
-    s = text.strip()
-    if "." in s or "e" in s.lower():
-        raise ValueError(f"not an exact rational: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        num, den = int(num), int(den)
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    num, slash, den = text.partition("/")
+    # on an ASCII string isdigit() holds for 0-9 only
+    if not (text.isascii() and num.removeprefix("-").isdigit()
+            and (den.isdigit() or not slash)):
+        raise ValueError(f"not an exact rational \"num/den\": {text!r}")
+    if slash and int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def format_rational(q) -> str:

@@ -9,11 +9,15 @@ orientation correction from the complementary linear part.  This module
 executes that construction in ambient dimension at most 4, reduced
 dimension at most 3, entirely in exact rational arithmetic.
 
-Bases are handled as lists of vectors (lists of Fractions).  Every basis
-used internally is orthogonalized and rescaled so each vector has
+Bases are handled as lists of vectors (lists of Fractions).  The bases
+of V (printed in the report) and of V' = l^-1(V) (the miss check samples
+in its coordinates) are orthogonalized and rescaled so each vector has
 squared length within [8/9, 9/8]; the scale factor is found with one
-float square root but applied as an exact rational, so no floating
-point ever enters a computed value.
+float square root but applied as an exact rational, so no floating point
+ever enters a computed value.  V-perp is only orthogonalized, as |y|^2,
+|pr_perp y|^2 and the V coordinates of y do not depend on its scale, and
+the orientation's (V')-perp is a raw nullspace: a change of its basis by
+M multiplies both orientation determinants by det M.
 
 For a chosen V the reduced map is prepared once: y(t) = f(B_V' t),
 expanded in integers as one PolynomialMap in the coordinates t of
@@ -36,7 +40,6 @@ from .linalg import (
     gram_schmidt,
     nullspace,
     transpose,
-    vec_add,
     vec_dot,
     vec_scale,
 )
@@ -63,6 +66,15 @@ __all__ = [
 # -- compact part evaluators ---------------------------------------------
 
 
+def _exact(x, what):
+    # a float or a string would stand for some other rational, so a value
+    # given in Python is an int or a Fraction, as JSON input is once parsed
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(
+            f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
 def _strict_int(x, what):
     # JSON floats and booleans are refused, never truncated by int()
     if type(x) is not int:
@@ -81,11 +93,6 @@ def _int_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _call_scaled(m, x):
-    nums, den = m.evaluate_scaled(*_over_common_denominator(x))
-    return [Fraction(n, den) for n in nums]
-
-
 class PolynomialMap:
     """Exact polynomial map Q^m -> Q^k.
 
@@ -97,7 +104,8 @@ class PolynomialMap:
     def __init__(self, input_dim, components):
         self.input_dim = input_dim
         self.components = [
-            [(Fraction(c), tuple(_strict_int(e, "exponent") for e in powers))
+            [(_exact(c, "a coefficient"),
+              tuple(_strict_int(e, "exponent") for e in powers))
              for c, powers in comp]
             for comp in components
         ]
@@ -142,8 +150,6 @@ class PolynomialMap:
             nums.append(total)
         return nums, self._denominator * s_pow[m]
 
-    __call__ = _call_scaled
-
     @property
     def pieces(self):
         """The one piece of a compact part that is a single polynomial."""
@@ -167,7 +173,7 @@ class PiecewisePolynomialMap:
     def __init__(self, pieces):
         self.pieces = []
         for threshold, poly in pieces:
-            t = None if threshold is None else Fraction(threshold)
+            t = None if threshold is None else _exact(threshold, "a threshold")
             self.pieces.append((t, poly))
         if not self.pieces:
             raise ValueError("need at least one piece")
@@ -187,8 +193,6 @@ class PiecewisePolynomialMap:
         does.
         """
         return self.piece(_int_dot(X, X), S * S).evaluate_scaled(X, S)
-
-    __call__ = _call_scaled
 
     def to_json(self):
         return {
@@ -218,7 +222,7 @@ def builtin_compact(name, dim, params=None, target_dim=None):
     if name == "zero":
         m = PolynomialMap(dim, [[] for _ in range(target_dim or dim)])
     elif name == "constant":
-        vector = [Fraction(v) for v in params["vector"]]
+        vector = [_exact(v, "a constant vector entry") for v in params["vector"]]
         m = PolynomialMap(
             dim, [[(v, (0,) * dim)] for v in vector]
         )
@@ -296,11 +300,18 @@ def compact_from_json(obj, input_dim, target_dim):
 MAX_DEGREE = 64
 
 
+def _check_dimensions(domain_dim, target_dim):
+    if not 1 <= domain_dim <= 4 or not 1 <= target_dim <= 4:
+        raise ValueError("dimensions must be between 1 and 4")
+
+
 class ReductionProblem(namedtuple(
         "ReductionProblem",
         "domain_dim target_dim linear_part compact_part bound_radius")):
     """f = linear_part + compact_part on R^domain_dim -> R^target_dim,
     with the author's certificate that |f(x)| >= 1 once |x| >= bound_radius.
+    Every number given, here and in the compact part, is an int or a
+    Fraction.
 
     A compact part is its `pieces`, (threshold or None, PolynomialMap)
     pairs, as PolynomialMap and PiecewisePolynomialMap give them.  Each
@@ -313,16 +324,16 @@ class ReductionProblem(namedtuple(
 
     def __new__(cls, domain_dim, target_dim, linear_part, compact_part,
                 bound_radius):
-        if not 1 <= domain_dim <= 4 or not 1 <= target_dim <= 4:
-            raise ValueError("dimensions must be between 1 and 4")
+        _check_dimensions(domain_dim, target_dim)
         rows = tuple(
-            tuple(Fraction(x) for x in row) for row in linear_part
+            tuple(_exact(x, "a linear_part entry") for x in row)
+            for row in linear_part
         )
         if len(rows) != target_dim or any(len(r) != domain_dim for r in rows):
             raise ValueError(
                 f"linear_part must be {target_dim}x{domain_dim}"
             )
-        r = Fraction(bound_radius)
+        r = _exact(bound_radius, "bound_radius")
         if r <= 0:
             raise ValueError("bound_radius must be positive")
         for _, poly in compact_part.pieces:
@@ -343,8 +354,9 @@ class ReductionProblem(namedtuple(
         return super().__new__(cls, domain_dim, target_dim, rows, compact_part, r)
 
     def f(self, x):
-        lx = [vec_dot(list(row), list(x)) for row in self.linear_part]
-        return vec_add(lx, [Fraction(v) for v in self.compact_part(x)])
+        nums, den = self.compact_part.evaluate_scaled(*_over_common_denominator(x))
+        return [vec_dot(list(row), list(x)) + Fraction(n, den)
+                for row, n in zip(self.linear_part, nums)]
 
     def index(self) -> int:
         return self.domain_dim - self.target_dim
@@ -353,12 +365,14 @@ class ReductionProblem(namedtuple(
     def from_json(cls, obj) -> "ReductionProblem":
         _expect(obj, dict, "the top level")
         _only_keys(obj, cls._fields, "the top level takes no key")
+        domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
+        target_dim = _strict_int(obj["target_dim"], "target_dim")
+        # before anything sized by them is built
+        _check_dimensions(domain_dim, target_dim)
         linear = [
             [parse_rational(x) for x in _expect(row, list, "a linear_part row")]
             for row in _expect(obj["linear_part"], list, "linear_part")
         ]
-        domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
-        target_dim = _strict_int(obj["target_dim"], "target_dim")
         compact_part = compact_from_json(obj["compact_part"], domain_dim,
                                          target_dim)
         return cls(
@@ -382,7 +396,7 @@ class ReductionProblem(namedtuple(
 
 
 DegreeReport = namedtuple(
-    "DegreeReport", "subspace_V reduced_dim degree epsilon miss")
+    "DegreeReport", "subspace_V reduced_dim degree miss")
 MissVerdict = namedtuple(
     "MissVerdict", "ok worst_distance_squared samples_checked")
 StabilityVerdict = namedtuple(
@@ -392,6 +406,8 @@ StabilityVerdict = namedtuple(
 # -- sampling and bases -----------------------------------------------------
 
 _HALTON_BASES = (2, 3, 5, 7)
+# Halton points of the miss check, after the origin
+_MISS_SAMPLES = 160
 _HALTON_ATTEMPTS = 8192
 
 
@@ -457,11 +473,8 @@ def _unit_rescale(v):
 
 
 def _prepared_basis(vectors):
+    # for V and V' only, the two bases whose scale is read
     return [_unit_rescale(b) for b in gram_schmidt(vectors)]
-
-
-def _complement_basis(orth_basis, dim):
-    return _prepared_basis(nullspace([list(b) for b in orth_basis], dim))
 
 
 def _coker_complement(p: ReductionProblem):
@@ -508,12 +521,15 @@ class _ReducedMap:
     B_V' is orthogonal integer rows L_k over one denominator d', so
     |B_V' t|^2 = sum |L_k|^2 t_k^2 / d'^2 picks the piece.  g(T, s), the
     B_V coordinates at t = T / s, is the reduced map whose degree is taken.
+
+    B_V and B_V' are rescaled, B_U is not: scaling one of its vectors by
+    c divides the coordinate along it by c and multiplies its weight by c^2.
     """
 
     def __init__(self, p: ReductionProblem, v_basis):
         self.p = p
         self.b_v = _prepared_basis(v_basis)
-        self.b_u = _complement_basis(self.b_v, p.target_dim)
+        self.b_u = gram_schmidt(nullspace(self.b_v, p.target_dim))
         self.b_vprime = _preimage_basis(p, self.b_v, self.b_u)
         lift_rows, self._lift_den = _integer_rows(self.b_vprime)
         self._lift_weights = [_int_dot(row, row) for row in lift_rows]
@@ -622,12 +638,12 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
                                 + [[Fraction(n, den) for n in nums]])
 
 
-def verify_miss_condition(p: ReductionProblem, v_basis, samples: int = 160,
-                          *, reduced=None) -> MissVerdict:
+def verify_miss_condition(p: ReductionProblem, v_basis, *,
+                          reduced=None) -> MissVerdict:
     """Sampled check that f(l^-1(V) intersect ball(2R)) keeps distance at
     least 1/2 from the unit sphere of V-perp.
 
-    The sample points are the origin, then the first ``samples`` Halton
+    The sample points are the origin, then the first _MISS_SAMPLES Halton
     points t in V'-coordinates with |B_V' t| <= 2R (the origin alone when
     V' = {0}), from the net's sampler.  The distance test is exact:
     dist^2 >= 1/4 rearranges to (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with
@@ -643,7 +659,7 @@ def verify_miss_condition(p: ReductionProblem, v_basis, samples: int = 160,
     # |x| <= radius is sum_k |L_k|^2 t_k^2 <= (d' radius)^2; and
     # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
     points = _halton_ball_scaled(dim, rmap._lift_den * radius,
-                                 samples + 1 if dim else 1,
+                                 _MISS_SAMPLES + 1 if dim else 1,
                                  rmap._lift_weights, Fraction(17, 16) * radius)
     ok = True
     worst = None
@@ -668,8 +684,7 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
-def reduce_and_degree(p: ReductionProblem, v_basis,
-                      epsilon=Fraction(1, 4)) -> DegreeReport:
+def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     """Restrict f to l^-1(V), project to V, and return the degree of the
     original map, orientation corrections included.
 
@@ -689,7 +704,6 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
     pr_U l|_U' is singular.  V = {0} (possible only for invertible l with c
     landing near 0) short-circuits to sign(det l).
     """
-    eps = Fraction(epsilon)
     rmap = _ReducedMap(p, v_basis)
     miss = verify_miss_condition(p, v_basis, reduced=rmap)
     if not miss.ok:
@@ -708,14 +722,14 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
         if d == 0:
             raise ValueError("V = {0} requires invertible linear part")
         return DegreeReport(subspace_V=(), reduced_dim=0,
-                            degree=_sign(d), epsilon=eps, miss=miss)
+                            degree=_sign(d), miss=miss)
     if v_dim > 3:
         raise ValueError(f"reduced dimension {v_dim} exceeds 3")
     if len(b_vprime) != v_dim:
         raise ValueError(
             "V does not span the target together with im(l)"
         )
-    b_uprime = _complement_basis(b_vprime, p.domain_dim)
+    b_uprime = nullspace(b_vprime, p.domain_dim)
     l_uprime = [[vec_dot(list(row), w) for row in p.linear_part]
                 for w in b_uprime]
     sign = _sign(det(b_uprime + b_vprime)) * _sign(det(l_uprime + b_v))
@@ -728,14 +742,13 @@ def reduce_and_degree(p: ReductionProblem, v_basis,
         subspace_V=tuple(tuple(b) for b in b_v),
         reduced_dim=v_dim,
         degree=degree,
-        epsilon=eps,
         miss=miss,
     )
 
 
 def stability_check(p: ReductionProblem, v_basis, w_basis) -> StabilityVerdict:
     """Degrees computed through V and through a larger W must agree."""
-    rows = [_integer_row(b) for b in _prepared_basis(w_basis)]
+    rows = [_integer_row(b) for b in gram_schmidt(w_basis)]
     for v in v_basis:
         if _residual2(rows, _over_common_denominator(v)[0])[0] != 0:
             raise ValueError("V is not contained in span(W)")

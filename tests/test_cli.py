@@ -349,6 +349,15 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["lattice", "--gram", "{gram}"], {"gram": {"gram": [[-1]], "extra": 1}}),
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, extra_key=1)}),
+    (["reduce", "--problem", "{problem}", "--epsilon", "1_0/40"],
+     {"problem": TRANSLATION_PROBLEM}),
+    (["chamber", "--n", "3", "--angles", "\u0661/\u0662"], {}),
+    (["chamber", "--n", "3", "--angles", "\uff11/\uff14"], {}),
+    (["chamber", "--n", "3", "--angles", "+1/4"], {}),
+    (["chamber", "--n", "3", "--angles", " 1/4 "], {}),
+    (["chamber", "--n", "3", "--angles", "1/-4"], {}),
+    (["reduce", "--problem", "{problem}"],
+     {"problem": dict(TRANSLATION_PROBLEM, bound_radius="2 ")}),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -367,9 +376,12 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
         "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key",
-        "reduce-extra-key"])
+        "reduce-extra-key", "epsilon-underscore", "angles-arabic-indic-digits",
+        "angles-fullwidth-digits", "angles-plus-sign", "angles-spaces",
+        "angles-negative-denominator", "reduce-radius-trailing-space"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
-    # zero denominators, JSON numbers where "num/den" strings belong,
+    # zero denominators, rationals off the ASCII grammar
+    # -?[0-9]+(/[0-9]+)?, JSON numbers where "num/den" strings belong,
     # floats or bools where integers belong, sample counts below 1, a
     # Gram matrix or compact part of the wrong shape, a problem, compact
     # part or piece with a key its representation does not take, a JSON
@@ -404,6 +416,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
         assert message.endswith("unknown keys ['extra']")
     if request.node.callspec.id == "reduce-extra-key":
         assert message.endswith("takes no key 'extra_key'")
+    if request.node.callspec.id.startswith("angles-"):
+        assert message.startswith('bad --angles: not an exact rational "num/den"')
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -506,6 +520,14 @@ def test_reduce_golden_bytes(capsys, tmp_path, name, fmt):
     assert (status, err) == (0, "")
     expected = _golden_json(name) if fmt == "json" else _golden_table(name)
     assert out == expected
+
+
+def test_epsilon_recorded(capsys, tmp_path):
+    # the report carries the --epsilon the net was built with
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(TRANSLATION_PROBLEM))
+    doc = run_json(capsys, "reduce", "--problem", str(path), "--epsilon", "1/8")
+    assert doc["epsilon"] == "1/8"
 
 
 def test_epsilon_out_of_range(capsys, tmp_path):

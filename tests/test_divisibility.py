@@ -19,6 +19,7 @@ from swcohom.divisibility import (
     sharpness_scan,
     sw_divisibility_lower_bound,
 )
+from swcohom.fourmanifold import expected_moduli_dimension
 
 F = Fraction
 
@@ -165,6 +166,25 @@ def test_k_from_bplus_errors():
         k_from_bplus(5, 1)
     with pytest.raises(ValueError):
         k_from_bplus(2, 5)
+
+
+def test_k_from_bplus_is_the_expected_moduli_dimension():
+    # one formula and one b_plus check; k_from_bplus adds only the
+    # refusal of a negative k
+    for d in range(-2, 12):
+        for b_plus in range(-1, 12):
+            try:
+                k = expected_moduli_dimension(d, b_plus)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as refused:
+                    k_from_bplus(d, b_plus)
+                assert str(refused.value) == str(exc)
+                continue
+            if k < 0:
+                with pytest.raises(ValueError, match="negative degree"):
+                    k_from_bplus(d, b_plus)
+            else:
+                assert k_from_bplus(d, b_plus) == k
 
 
 # -- scan ------------------------------------------------------------------

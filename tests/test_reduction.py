@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from problem_factory import random_problem, zero_linear_problem
+from swcohom import reduction
 from swcohom.reduction import (
     _HALTON_BASES,
     MAX_DEGREE,
@@ -13,7 +15,6 @@ from swcohom.reduction import (
     PiecewisePolynomialMap,
     PolynomialMap,
     ReductionProblem,
-    _complement_basis,
     _halton_ball_scaled,
     _prepared_basis,
     _preimage_basis,
@@ -89,9 +90,15 @@ def _span_samples(basis, radius, count, ambient_dim):
     return points
 
 
+def rescaled_complement(orth_basis, dim):
+    # V-perp rescaled as V is, which the reduced map no longer does; V'
+    # and the oracle's values do not depend on that scale
+    return _prepared_basis(nullspace([list(b) for b in orth_basis], dim))
+
+
 def oracle_bases(p, v_basis):
     b_v = _prepared_basis(v_basis)
-    b_u = _complement_basis(b_v, p.target_dim)
+    b_u = rescaled_complement(b_v, p.target_dim)
     return b_v, b_u, _preimage_basis(p, b_v, b_u)
 
 
@@ -126,6 +133,12 @@ def oracle_g(p, v_basis):
         y = p.f(x)
         return [vec_dot(y, b) / vec_dot(b, b) for b in b_v]
     return g
+
+
+def evaluate(m, x):
+    # a compact part at the Fraction point x, through evaluate_scaled
+    nums, den = m.evaluate_scaled(*_over_common_denominator(x))
+    return [F(a, den) for a in nums]
 
 
 def reduced_g(rmap, t):
@@ -167,6 +180,49 @@ def test_problem_validation():
         ReductionProblem(2, 2, [[1, 0]], zero2, 1)
     with pytest.raises(ValueError):
         ReductionProblem(2, 2, [[1, 0], [0, 1]], zero2, 0)
+
+
+_POINT = PolynomialMap(2, [[(F(1), (0, 0))], []])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ReductionProblem(2, 2, [[0.1, 0], [0, 1]], _POINT, 2),
+    lambda: ReductionProblem(2, 2, [["2.5", 0], [0, 1]], _POINT, 2),
+    lambda: ReductionProblem(2, 2, [[True, 0], [0, 1]], _POINT, 2),
+    lambda: ReductionProblem(2, 2, [[1, 0], [0, 1]], _POINT, 2.0),
+    lambda: ReductionProblem(2, 2, [[1, 0], [0, 1]], _POINT, "1e-1"),
+    lambda: PolynomialMap(2, [[(0.5, (0, 0))], []]),
+    lambda: PolynomialMap(2, [[("1/2", (0, 0))], []]),
+    lambda: PiecewisePolynomialMap([(0.25, _POINT), (None, _POINT)]),
+    lambda: PiecewisePolynomialMap([("4", _POINT), (None, _POINT)]),
+    lambda: builtin_compact("constant", 2, {"vector": [0.5, 0]}),
+    lambda: builtin_compact("constant", 2, {"vector": ["1/2", 0]}),
+], ids=["linear-float", "linear-decimal-string", "linear-bool",
+        "radius-float", "radius-exponent-string", "coefficient-float",
+        "coefficient-string", "threshold-float", "threshold-string",
+        "constant-float", "constant-string"])
+def test_problem_takes_only_int_or_fraction(build):
+    # a float or a string stands for some other rational (0.1 is
+    # 3602879701896397/36028797018963968), so it is refused, never read
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        build()
+
+
+def test_dimensions_are_checked_before_the_compact_part_is_built(monkeypatch):
+    # a builtin is sized by the dimensions, so a huge one must be refused
+    # first; the patched builder fails the test if it is reached
+    def unreachable(*args):
+        raise AssertionError("compact part built before the dimension check")
+    monkeypatch.setattr(reduction, "compact_from_json", unreachable)
+    for key in ("domain_dim", "target_dim"):
+        doc = {"domain_dim": 2, "target_dim": 2,
+               "linear_part": [["1", "0"], ["0", "1"]],
+               "compact_part": {"builtin": "constant", "vector": ["1"]},
+               "bound_radius": "2", key: 10 ** 9}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^dimensions must be between 1 and 4$"):
+            ReductionProblem.from_json(doc)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_degree_budget():
@@ -433,10 +489,11 @@ def test_piecewise_threshold_is_inclusive():
     outside = PolynomialMap(2, [[(F(-1), (0, 0))], [(F(3), (0, 1))]])
     m = PiecewisePolynomialMap([(F(1), inside), (None, outside)])
     on = [F(3, 5), F(4, 5)]
-    assert m(on) == inside(on) == [1, F(6, 5)]
+    assert evaluate(m, on) == evaluate(inside, on) == [1, F(6, 5)]
     past = [F(3, 5), F(4, 5) + F(1, 10 ** 9)]
-    assert m(past) == outside(past)
-    assert m([0, -1]) == inside([0, -1]) and m([-2, 0]) == outside([-2, 0])
+    assert evaluate(m, past) == evaluate(outside, past)
+    assert evaluate(m, [0, -1]) == evaluate(inside, [0, -1])
+    assert evaluate(m, [-2, 0]) == evaluate(outside, [-2, 0])
 
 
 def test_polynomial_map_matches_naive_sum():
@@ -454,7 +511,7 @@ def test_polynomial_map_matches_naive_sum():
             x = [rng.choice([0, rng.randint(-5, 5),
                              F(rng.randint(-20, 20), rng.randint(1, 30))])
                  for _ in range(dim)]
-            assert m(x) == naive_polynomial(m, x)
+            assert evaluate(m, x) == naive_polynomial(m, x)
 
 
 # -- degree anchors ------------------------------------------------------------
@@ -548,12 +605,6 @@ def test_stability_on_random_problems():
             verdict = stability_check(p, V, full)
             assert verdict.equal
             assert verdict.degree_large == expected
-
-
-def test_epsilon_recorded():
-    p = identity_problem(2, builtin_compact("zero", 2), 2)
-    r = reduce_and_degree(p, [], epsilon=F(1, 8))
-    assert r.epsilon == F(1, 8)
 
 
 # -- the properness demo ------------------------------------------------------------
