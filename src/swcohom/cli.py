@@ -8,9 +8,9 @@ exit status distinguishes domain errors (1) from I/O and parse errors
 (2).  Output is deterministic: identical inputs give identical bytes.
 """
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 __all__ = ["main"]
 
@@ -41,16 +41,10 @@ def _load_json(path):
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # a usage error becomes one swcohom/error/1 document, like any other
-    # parse error; subparsers are built from this class too
-    def error(self, message):
-        raise CLIError(2, "parse", message)
-
-
 def _rational_option(flag, text):
-    # parsed here rather than by argparse, whose type errors say only
-    # "invalid value" and drop the reason parse_rational gives
+    # a rational option reaches its handler as a string and is parsed
+    # there, so that only the subcommands that read one import fractions;
+    # the error keeps the reason parse_rational gives
     from .rational import parse_rational
     try:
         return parse_rational(text)
@@ -287,69 +281,165 @@ def _cell(value):
     return str(value)
 
 
-# -- argument parsing -------------------------------------------------------
+# -- command line -----------------------------------------------------------
+#
+# One table gives both the parser and the usage text.  A subcommand maps
+# to (handler, help line, options), and an option to (kind, required,
+# default).  The kind is int, a tuple of the integers allowed, or, for an
+# option kept as a string, the word the usage shows for its value.
+
+_COMMANDS = {
+    "index": (_run_index, "Dirac index d = (c^2 - sigma)/8", {
+        "--c2": (int, True, None),
+        "--sigma": (int, True, None),
+    }),
+    "dim": (_run_dim, "expected moduli dimension 2d - b+ - 1", {
+        "--d": (int, False, None),
+        "--c2": (int, False, None),
+        "--sigma": (int, False, None),
+        "--bplus": (int, True, None),
+    }),
+    "bound": (_run_bound, "divisibility lower bound for m(d, k)", {
+        "--d": (int, True, None),
+        "--k": (int, True, None),
+    }),
+    "hurewicz": (_run_hurewicz, "kernel/cokernel orders near the bottom cell", {
+        "--d": (int, True, None),
+        "--k": (int, False, None),
+    }),
+    "sharpscan": (_run_sharpscan, "bound vs cokernel order over a d range", {
+        "--dmin": (int, True, None),
+        "--dmax": (int, True, None),
+        "--k": ((2, 4), False, None),
+    }),
+    "lattice": (_run_lattice, "validate a Gram matrix and test admissibility", {
+        "--gram": ("FILE", True, None),
+    }),
+    "reduce": (_run_reduce, "finite-dimensional reduction and degree", {
+        "--problem": ("FILE", True, None),
+        "--epsilon": ("RATIONAL", False, "1/4"),
+        "--samples": (int, False, 128),
+    }),
+    "chamber": (_run_chamber, "signed counts and the wall-crossing jump", {
+        "--n": (int, True, None),
+        # comma-separated rationals, in units of pi
+        "--angles": ("RATIONAL,...", True, None),
+    }),
+}
+_FORMATS = ("json", "table")
+_HELP = ("-h", "--help")
 
 
-def _build_parser():
-    parser = _ArgumentParser(
-        prog="swcohom",
-        description="exact divisibility bounds, definite lattices, "
-                    "finite-dimensional degree reductions",
-    )
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _synopsis(options):
+    words = []
+    for flag, (kind, required, _) in options.items():
+        if kind is int:
+            kind = "INT"
+        elif isinstance(kind, tuple):
+            kind = "|".join(map(str, kind))
+        words.append(f"{flag} {kind}" if required else f"[{flag} {kind}]")
+    return " ".join(words)
 
-    p = sub.add_parser("index", help="Dirac index d = (c^2 - sigma)/8")
-    p.set_defaults(run=_run_index)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--sigma", type=int, required=True)
 
-    p = sub.add_parser("dim", help="expected moduli dimension 2d - b+ - 1")
-    p.set_defaults(run=_run_dim)
-    p.add_argument("--d", type=int)
-    p.add_argument("--c2", type=int)
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--bplus", type=int, required=True)
+def _usage(name=None):
+    """Usage of one subcommand, or of all of them when ``name`` is None."""
+    head = f"usage: swcohom [--format {'|'.join(_FORMATS)}]"
+    if name is not None:
+        _, line, options = _COMMANDS[name]
+        return f"{head} {name} {_synopsis(options)}\n\n{line}"
+    lines = [f"{head} SUBCOMMAND [--option VALUE]...", "",
+             "exact divisibility bounds, definite lattices, "
+             "finite-dimensional degree reductions", "", "subcommands:"]
+    for sub, (_, line, options) in _COMMANDS.items():
+        lines += [f"  {sub:<10} {line}", f"  {'':<10} {_synopsis(options)}"]
+    lines += ["", "Options take their full names, each at most once, as "
+              "--option VALUE pairs;", "-h or --help after a subcommand "
+              "shows its usage."]
+    return "\n".join(lines)
 
-    p = sub.add_parser("bound", help="divisibility lower bound for m(d, k)")
-    p.set_defaults(run=_run_bound)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("hurewicz", help="kernel/cokernel orders near the bottom cell")
-    p.set_defaults(run=_run_hurewicz)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int)
+def _option_value(name, flag, kind, text):
+    if isinstance(kind, str):
+        return text
+    # the numerator rule of parse_rational: ASCII -?[0-9]+, and on an
+    # ASCII string isdigit() holds for 0-9 only
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise CLIError(2, "parse",
+                       f"{name}: bad {flag}: not an integer: {text!r}")
+    try:
+        value = int(text)
+    except ValueError as exc:
+        # more digits than Python converts from text
+        raise CLIError(2, "parse", f"{name}: bad {flag}: an integer of "
+                       f"{len(text)} characters is longer than Python "
+                       "converts") from exc
+    if kind is not int and value not in kind:
+        raise CLIError(2, "parse", f"{name}: bad {flag}: {value} is not one "
+                       f"of {', '.join(map(str, kind))}")
+    return value
 
-    p = sub.add_parser("sharpscan", help="bound vs cokernel order over a d range")
-    p.set_defaults(run=_run_sharpscan)
-    p.add_argument("--dmin", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--k", type=int, choices=(2, 4))
 
-    p = sub.add_parser("lattice", help="validate a Gram matrix and test admissibility")
-    p.set_defaults(run=_run_lattice)
-    p.add_argument("--gram", required=True, metavar="FILE")
+def _parse(argv):
+    """(subcommand, format, args) from
+    ``[--format json|table] SUBCOMMAND (--option value)...``.
 
-    p = sub.add_parser("reduce", help="finite-dimensional reduction and degree")
-    p.set_defaults(run=_run_reduce)
-    p.add_argument("--problem", required=True, metavar="FILE")
-    p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--samples", type=int, default=128)
-
-    p = sub.add_parser("chamber", help="signed counts and the wall-crossing jump")
-    p.set_defaults(run=_run_chamber)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--angles", required=True,
-                   help="comma-separated rationals, units of pi")
-    return parser
+    The token after a flag is its value, whatever it looks like, so
+    ``--d -3`` reads -3.  args is None when the line asks for help; the
+    subcommand is then None for the usage of all of them.
+    """
+    tokens = iter(argv)
+    fmt = None
+    for token in tokens:
+        if token in _HELP:
+            return None, fmt, None
+        if token != "--format":
+            name = token
+            break
+        if fmt is not None:
+            raise CLIError(2, "parse", "--format given twice")
+        fmt = next(tokens, None)
+        if fmt is None:
+            raise CLIError(2, "parse", "--format needs a value")
+        if fmt not in _FORMATS:
+            raise CLIError(2, "parse", f"bad --format: {fmt!r} is not one of "
+                           f"{', '.join(_FORMATS)}")
+    else:
+        raise CLIError(2, "parse", "missing subcommand, one of "
+                       f"{', '.join(_COMMANDS)}")
+    if name not in _COMMANDS:
+        raise CLIError(2, "parse", f"unknown subcommand {name!r}, not one of "
+                       f"{', '.join(_COMMANDS)}")
+    options = _COMMANDS[name][2]
+    values = {}
+    for flag in tokens:
+        if flag in _HELP:
+            return name, fmt, None
+        if flag not in options:
+            raise CLIError(2, "parse", f"{name}: unknown option {flag!r}, not "
+                           f"one of {', '.join(options)}")
+        if flag in values:
+            raise CLIError(2, "parse", f"{name}: {flag} given twice")
+        text = next(tokens, None)
+        if text is None:
+            raise CLIError(2, "parse", f"{name}: {flag} needs a value")
+        values[flag] = _option_value(name, flag, options[flag][0], text)
+    missing = [flag for flag, (_, required, _) in options.items()
+               if required and flag not in values]
+    if missing:
+        raise CLIError(2, "parse", f"{name}: missing {', '.join(missing)}")
+    args = SimpleNamespace(**{flag[2:]: values.get(flag, default)
+                              for flag, (_, _, default) in options.items()})
+    return name, fmt or "json", args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        name, fmt, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage(name))
+            return 0
         try:
-            report = args.run(args)
+            report = _COMMANDS[name][0](args)
         except (ArithmeticError, ValueError) as exc:
             raise _domain(str(exc)) from exc
     except CLIError as exc:
@@ -359,7 +449,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(doc), file=sys.stderr)
         return exc.status
-    if args.format == "table":
+    if fmt == "table":
         print(_render_table(report))
     else:
         print(json.dumps(report, indent=2))

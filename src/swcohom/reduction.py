@@ -425,14 +425,19 @@ def _radical_inverse(i: int, base: int):
     return num, denom
 
 
+def _unit_point(h):
+    # the Halton point with coordinates h_k = num_k / den_k, moved to the
+    # cube [-1, 1]^dim as integers U over s, U_k / s = 2 h_k - 1
+    s = math.prod(den for _, den in h)
+    return [(2 * num - den) * (s // den) for num, den in h], s
+
+
 def _halton_point(i: int, dim: int, half_width: Fraction):
     # the i-th Halton point of the cube [-w, w]^dim, t_k = w (2 h_k - 1),
-    # as integers T over one denominator s
-    h = [_radical_inverse(i, base) for base in _HALTON_BASES[:dim]]
-    s = math.prod(denom for _, denom in h)
-    T = [half_width.numerator * (2 * num - denom) * (s // denom)
-         for num, denom in h]
-    return T, s * half_width.denominator
+    # as integers T over one denominator
+    U, s = _unit_point([_radical_inverse(i, base)
+                        for base in _HALTON_BASES[:dim]])
+    return [half_width.numerator * u for u in U], s * half_width.denominator
 
 
 def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
@@ -441,18 +446,36 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     of half-width ``half_width`` (radius if not given) with integer-weighted
     sum_k w_k x_k^2 <= radius^2 (all w_k = 1 if not given), as integers
     (X, S) with x = X / S; deterministic.
+
+    These are the points of _halton_point, walked in order: the radical
+    inverses of i = q b + r come from that of q < i, num(i) = r den(q) +
+    num(q) and den(i) = b den(q), and the ball test reads the unit-cube
+    integers U, s of x = w U / s with the constant factors hoisted,
+    w_num^2 r_den^2 sum_k w_k U_k^2 <= r_num^2 w_den^2 s^2.
     """
     r = Fraction(radius)
+    w = Fraction(half_width or r)
     weights = weights or [1] * dim
+    lhs_scale = w.numerator ** 2 * r.denominator ** 2
+    rhs_scale = r.numerator ** 2 * w.denominator ** 2
+    bases = _HALTON_BASES[:dim]
+    # radical inverses of 0 .. i - 1, one list per base
+    inverses = [[(0, 1)] for _ in bases]
     points = [([0] * dim, 1)]
     i = 1
     while len(points) < count:
         if i > _HALTON_ATTEMPTS:
             raise ValueError("sampling budget exceeded")
-        X, S = _halton_point(i, dim, Fraction(half_width or r))
-        if (sum(wk * x * x for wk, x in zip(weights, X)) * r.denominator ** 2
-                <= r.numerator ** 2 * S * S):
-            points.append((X, S))
+        h = []
+        for base, known in zip(bases, inverses):
+            q, digit = divmod(i, base)
+            num, den = known[q]
+            known.append((digit * den + num, base * den))
+            h.append(known[i])
+        U, s = _unit_point(h)
+        if (lhs_scale * sum(wk * u * u for wk, u in zip(weights, U))
+                <= rhs_scale * s * s):
+            points.append(([w.numerator * u for u in U], s * w.denominator))
         i += 1
     return points
 

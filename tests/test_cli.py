@@ -2,6 +2,7 @@
 
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from math import factorial, log10
@@ -358,6 +359,15 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["chamber", "--n", "3", "--angles", "1/-4"], {}),
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, bound_radius="2 ")}),
+    (["index", "--c2", "1_6", "--sigma", "0"], {}),
+    (["index", "--c2", "\u0661\u0666", "--sigma", "0"], {}),
+    (["index", "--c2", " 16 ", "--sigma", "0"], {}),
+    (["index", "--c2", "+16", "--sigma", "0"], {}),
+    (["index", "--c2", "16", "--sig", "0"], {}),
+    (["index", "--c2", "8", "--c2", "16", "--sigma", "0"], {}),
+    (["index", "--c2=16", "--sigma", "0"], {}),
+    pytest.param(["index", "--c2", "1" * 5000, "--sigma", "0"], {},
+                 marks=HUGE_INT),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -378,7 +388,10 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key",
         "reduce-extra-key", "epsilon-underscore", "angles-arabic-indic-digits",
         "angles-fullwidth-digits", "angles-plus-sign", "angles-spaces",
-        "angles-negative-denominator", "reduce-radius-trailing-space"])
+        "angles-negative-denominator", "reduce-radius-trailing-space",
+        "option-underscore", "option-arabic-indic-digits", "option-spaces",
+        "option-plus-sign", "option-abbreviated", "option-repeated",
+        "option-equals-form", "option-huge-integer"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, rationals off the ASCII grammar
     # -?[0-9]+(/[0-9]+)?, JSON numbers where "num/den" strings belong,
@@ -386,9 +399,11 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # Gram matrix or compact part of the wrong shape, a problem, compact
     # part or piece with a key its representation does not take, a JSON
     # value of the wrong type, a file that is not UTF-8, an integer too
-    # long to convert, nesting too deep to decode, and a command line
-    # argparse refuses: one swcohom/error/1 line naming the input, never
-    # a traceback, usage text or a Python internal
+    # long to convert, nesting too deep to decode, and a command line off
+    # its grammar (an unknown subcommand, a missing, abbreviated, repeated
+    # or "="-joined option, an integer option off ASCII -?[0-9]+): one
+    # swcohom/error/1 line naming the input, never a traceback, usage text
+    # or a Python internal
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -418,6 +433,24 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
         assert message.endswith("takes no key 'extra_key'")
     if request.node.callspec.id.startswith("angles-"):
         assert message.startswith('bad --angles: not an exact rational "num/den"')
+    if request.node.callspec.id in _OPTION_MESSAGES:
+        assert message.startswith(_OPTION_MESSAGES[request.node.callspec.id])
+
+
+# how each refused option is named
+_OPTION_MESSAGES = {
+    "option-underscore": "index: bad --c2: not an integer: '1_6'",
+    "option-arabic-indic-digits": "index: bad --c2: not an integer: '\u0661\u0666'",
+    "option-spaces": "index: bad --c2: not an integer: ' 16 '",
+    "option-plus-sign": "index: bad --c2: not an integer: '+16'",
+    "option-abbreviated": "index: unknown option '--sig'",
+    "option-repeated": "index: --c2 given twice",
+    "option-equals-form": "index: unknown option '--c2=16'",
+    "option-huge-integer": "index: bad --c2: an integer of 5000 characters",
+    "usage-non-integer-option": "bound: bad --d: not an integer: 'x'",
+    "usage-missing-option": "reduce: missing --problem",
+    "usage-unknown-subcommand": "unknown subcommand 'frobnicate'",
+}
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -539,6 +572,43 @@ def test_epsilon_out_of_range(capsys, tmp_path):
     assert json.loads(err)["error"]["code"] == "domain"
 
 
+# every subcommand and its options, as the usage must show them
+_OPTIONS = {
+    "index": ["--c2", "--sigma"],
+    "dim": ["--d", "--c2", "--sigma", "--bplus"],
+    "bound": ["--d", "--k"],
+    "hurewicz": ["--d", "--k"],
+    "sharpscan": ["--dmin", "--dmax", "--k"],
+    "lattice": ["--gram"],
+    "reduce": ["--problem", "--epsilon", "--samples"],
+    "chamber": ["--n", "--angles"],
+}
+
+
+def test_help_prints_usage_and_returns(capsys):
+    # -h and --help print usage on stdout and return 0, without SystemExit;
+    # the usage of all subcommands names each with its options, and the
+    # usage of one names its options and --format
+    status, usage, err = run(capsys, "--help")
+    assert (status, err) == (0, "")
+    assert run(capsys, "-h") == (0, usage, "")
+    assert run(capsys, "--format", "table", "--help") == (0, usage, "")
+    listed = {}
+    for line in usage.splitlines():
+        words = line.split()
+        if line.startswith("  ") and words[0] in _OPTIONS:
+            name = words[0]
+        elif line.startswith("  ") and words[0].lstrip("[").startswith("--"):
+            listed[name] = re.findall(r"--[a-z0-9]+", line)
+    assert listed == _OPTIONS
+    for name, flags in _OPTIONS.items():
+        status, out, err = run(capsys, name, "--help")
+        assert (status, err) == (0, "")
+        assert out.startswith(f"usage: swcohom [--format json|table] {name} ")
+        assert re.findall(r"--[a-z0-9]+", out) == ["--format"] + flags
+        assert run(capsys, name, "-h") == (0, out, "")
+
+
 def test_module_invocation_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "swcohom.cli", "chamber",
@@ -559,22 +629,26 @@ _CHILD = ("import sys; before = set(sys.modules); {}; "
 _RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
         "assert status == 0")
 _SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
-_DIVISIBILITY_ABSENT = {"swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
+# the command line is read without argparse, and so without gettext and
+# locale, which argparse loads
+_PARSER = {"argparse", "gettext", "locale"}
+_DIVISIBILITY_ABSENT = _PARSER | {
+    "swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
 
 
 @pytest.mark.parametrize("statement, argv, absent", [
     ("import swcohom", [], _SUBMODULES),
     ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"}),
     (_RUN, ["lattice", "--gram", "{gram}"],
-     {"fractions", "decimal"} | {f"swcohom.{m}" for m in (
+     _PARSER | {"fractions", "decimal"} | {f"swcohom.{m}" for m in (
          "reduction", "degree", "linalg", "series", "divisibility",
          "chamber", "chern")}),
-    (_RUN, ["index", "--c2", "40", "--sigma", "0"], {"fractions"}),
-    (_RUN, ["dim", "--d", "5", "--bplus", "3"], {"fractions"}),
+    (_RUN, ["index", "--c2", "40", "--sigma", "0"], _PARSER | {"fractions"}),
+    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | {"fractions"}),
     (_RUN, ["hurewicz", "--d", "6"], _DIVISIBILITY_ABSENT),
     (_RUN, ["bound", "--d", "300", "--k", "114"], _DIVISIBILITY_ABSENT),
     (_RUN, ["reduce", "--problem", "{problem}"],
-     {f"swcohom.{m}" for m in (
+     _PARSER | {f"swcohom.{m}" for m in (
          "lattices", "divisibility", "series", "chamber", "chern")}),
 ], ids=["import-package", "import-cli", "lattice", "index", "dim",
         "hurewicz", "bound", "reduce"])
