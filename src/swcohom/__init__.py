@@ -35,8 +35,7 @@ _EXPORTS = {name: module for module, names in (
                    "choose_reduction_subspace", "proper_not_bounded_demo",
                    "reduce_and_degree", "stability_check",
                    "verify_miss_condition")),
-    ("series", ("TruncatedSeries", "compose", "exp_series", "log_one_minus",
-                "taylor_coefficients_a")),
+    ("series", ("TruncatedSeries", "log_one_minus", "taylor_coefficients_a")),
 ) for name in names}
 
 __all__ = list(_EXPORTS)

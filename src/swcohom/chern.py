@@ -3,8 +3,16 @@ with the Chern character between them.
 
 K(CP^(d-1)) is Z[xi]/(xi^d) and H*(CP^(d-1); Q) is Q[x]/(x^d).  The
 Chern character sends xi to 1 - exp(x); it is injective, and rationally
-an isomorphism.  The inverse is only ever needed on monomials n x^p,
-where it has the closed form n log(1 - xi)^p, so that is all we model.
+an isomorphism.  Both directions are Stirling numbers (Graham, Knuth
+and Patashnik, *Concrete Mathematics*, section 6.1), inverse to each
+other by the orthogonality of the two kinds (GKP (6.31)):
+
+- forward, (exp(x) - 1)^j / j! = sum_n S(n, j) x^n / n! with S of the
+  second kind (GKP (7.49)), so ch(sum_j e_j xi^j) has x^n coefficient
+  sum_{j <= n} (-1)^j j! S(n, j) e_j / n!;
+- backward, needed only on monomials n x^p, it is n log(1 - xi)^p,
+  whose coefficients are of the first kind (``taylor_coefficients_a``).
+
 Both rings are truncated series: KClass and HClass are TruncatedSeries
 with d = order, and KClass admits integer coefficients only.
 """
@@ -12,9 +20,9 @@ with d = order, and KClass admits integer coefficients only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
-from .series import TruncatedSeries, compose, exp_series, taylor_coefficients_a
+from .series import TruncatedSeries, taylor_coefficients_a
 
 __all__ = [
     "KClass",
@@ -31,7 +39,8 @@ def _integer(c) -> int:
         if c.denominator != 1:
             raise ValueError(f"non-integer coefficient {c}")
         return c.numerator
-    if not isinstance(c, int):
+    # bool is an int subclass, but True is no coefficient
+    if type(c) is not int:
         raise ValueError(f"non-integer coefficient {c!r}")
     return c
 
@@ -81,13 +90,23 @@ class HClass(TruncatedSeries):
 
 def one_minus_exp(order: int) -> TruncatedSeries:
     """1 - exp(x) = -x - x^2/2 - x^3/6 - ... mod x^order."""
-    return TruncatedSeries.one(order) - exp_series(TruncatedSeries.xi(order))
+    return TruncatedSeries(
+        order, [0] + [Fraction(-1, factorial(n)) for n in range(1, order)])
 
 
 def chern_character(e: KClass) -> HClass:
-    """Substitute xi = 1 - exp(x) into the polynomial of ``e``, mod x^d."""
-    image = compose(e, one_minus_exp(e.d))
-    return HClass(e.d, image.coefficients)
+    """Substitute xi = 1 - exp(x) into the polynomial of ``e``, mod x^d,
+    by the second-kind sum above.  The rows S(n, 0..n) come from
+    S(n, j) = j S(n - 1, j) + S(n - 1, j - 1) in integers, and each
+    coefficient becomes one Fraction at the end.
+    """
+    w = [(-1) ** j * factorial(j) * e_j for j, e_j in enumerate(e.coefficients)]
+    coeffs, row = [], [1]  # row = S(n, 0..n)
+    for n in range(e.d):
+        coeffs.append(Fraction(sum(s * w_j for s, w_j in zip(row, w)),
+                               factorial(n)))
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n + 1)] + [1]
+    return HClass(e.d, coeffs)
 
 
 def chern_character_inverse_monomial(n: int, p: int, d: int) -> TruncatedSeries:

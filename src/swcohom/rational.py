@@ -2,7 +2,8 @@
 
 The wire format everywhere in this package is exact: a rational is the
 ASCII string "num/den", with "/den" omitted when the denominator is 1.
-No floating-point parsing anywhere.
+No floating-point parsing anywhere, and a rational given in Python is
+an int or a Fraction, never a float or a string.
 """
 
 from fractions import Fraction
@@ -38,3 +39,12 @@ def format_rational(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _exact(x, what) -> Fraction:
+    # a float or a string would stand for some other rational, so a value
+    # given in Python is an int or a Fraction, as JSON input is once parsed
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(
+            f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+    return Fraction(x)

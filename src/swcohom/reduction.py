@@ -43,7 +43,7 @@ from .linalg import (
     vec_dot,
     vec_scale,
 )
-from .rational import format_rational, parse_rational
+from .rational import _exact, format_rational, parse_rational
 
 __all__ = [
     "PolynomialMap",
@@ -54,7 +54,6 @@ __all__ = [
     "StabilityVerdict",
     "ProperDemoReport",
     "builtin_compact",
-    "compact_from_json",
     "choose_reduction_subspace",
     "verify_miss_condition",
     "reduce_and_degree",
@@ -64,15 +63,6 @@ __all__ = [
 
 
 # -- compact part evaluators ---------------------------------------------
-
-
-def _exact(x, what):
-    # a float or a string would stand for some other rational, so a value
-    # given in Python is an int or a Fraction, as JSON input is once parsed
-    if type(x) is not int and type(x) is not Fraction:
-        raise TypeError(
-            f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
-    return Fraction(x)
 
 
 def _strict_int(x, what):
@@ -264,7 +254,7 @@ def _polynomial_from_json(components, input_dim):
     return PolynomialMap(input_dim, comps)
 
 
-def compact_from_json(obj, input_dim, target_dim):
+def _compact_from_json(obj, input_dim, target_dim):
     """The compact part of one JSON representation: a builtin with its own
     parameters, pieces, or components, and no other key.
     """
@@ -373,8 +363,8 @@ class ReductionProblem(namedtuple(
             [parse_rational(x) for x in _expect(row, list, "a linear_part row")]
             for row in _expect(obj["linear_part"], list, "linear_part")
         ]
-        compact_part = compact_from_json(obj["compact_part"], domain_dim,
-                                         target_dim)
+        compact_part = _compact_from_json(obj["compact_part"], domain_dim,
+                                          target_dim)
         return cls(
             domain_dim=domain_dim,
             target_dim=target_dim,

@@ -23,15 +23,12 @@ arithmetic and without any series multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .rational import format_rational, parse_rational
+from .rational import _exact, format_rational, parse_rational
 
 __all__ = [
     "TruncatedSeries",
     "log_one_minus",
-    "exp_series",
-    "compose",
     "taylor_coefficients_a",
 ]
 
@@ -41,16 +38,19 @@ class TruncatedSeries:
 
     Immutable; coefficients are stored as a tuple of Fractions of length
     exactly ``order`` (Fraction keeps them canonical: positive denominator,
-    coprime).  Operations between series of different orders raise
-    ValueError, and +, - and * between series of different classes raise
-    TypeError.  Ring operations return the type of their left operand,
-    so a subclass that narrows ``_coefficient``, which every coefficient
-    passes through, keeps its ring closed or raises.
+    coprime).  A coefficient, and the factor of ``scale`` and ``monomial``,
+    is an int or a Fraction: anything else, a float or a string included,
+    raises TypeError, since it would stand for some other rational.
+    Operations between series of different orders raise ValueError, and
+    +, - and * between series of different classes raise TypeError.  Ring
+    operations return the type of their left operand, so a subclass that
+    narrows ``_coefficient``, which every coefficient passes through,
+    keeps its ring closed or raises.
     """
 
     __slots__ = ("order", "coefficients")
 
-    _coefficient = Fraction
+    _coefficient = staticmethod(lambda c: _exact(c, "a coefficient"))
 
     def __init__(self, order: int, coefficients):
         if order < 1:
@@ -86,9 +86,10 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, order: int, power: int, coefficient=1) -> "TruncatedSeries":
-        coeffs = [Fraction(0)] * order
+        coefficient = _exact(coefficient, "a coefficient")
+        coeffs = [0] * order
         if 0 <= power < order:
-            coeffs[power] = Fraction(coefficient)
+            coeffs[power] = coefficient
         return cls(order, coeffs)
 
     # -- ring operations ---------------------------------------------
@@ -144,7 +145,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = _exact(c, "a factor")
         return type(self)(self.order, tuple(c * a for a in self.coefficients))
 
     def __eq__(self, other) -> bool:
@@ -185,38 +186,6 @@ def log_one_minus(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 1")
     coeffs = [Fraction(0)] + [Fraction(-1, j) for j in range(1, order)]
     return TruncatedSeries(order, coeffs)
-
-
-def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) = sum_{j>=0} s^j / j!, requiring zero constant term.
-
-    With constant term 0, s^j has no terms below xi^j, so the sum is
-    finite: j < order suffices.
-    """
-    if s.constant_term != 0:
-        raise ValueError("exp_series requires a series with zero constant term")
-    result = TruncatedSeries.one(s.order)
-    power = TruncatedSeries.one(s.order)
-    for j in range(1, s.order):
-        power = power * s
-        result = result + power.scale(Fraction(1, factorial(j)))
-    return result
-
-
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(.)) mod xi^order by Horner evaluation in the truncated ring.
-
-    Requires equal orders and zero constant term of ``inner`` (otherwise
-    truncated composition is not well defined).
-    """
-    outer._check_order(inner)
-    if inner.constant_term != 0:
-        raise ValueError("compose requires the inner series to have zero constant term")
-    n = outer.order
-    result = TruncatedSeries.monomial(n, 0, outer.coefficients[-1])
-    for k in range(n - 2, -1, -1):
-        result = result * inner + TruncatedSeries.monomial(n, 0, outer.coefficients[k])
-    return result
 
 
 def taylor_coefficients_a(p: int, kappa: int) -> list[Fraction]:

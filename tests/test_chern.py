@@ -1,7 +1,9 @@
 """Tests for the Chern character on projective space.
 
 The brute-force multiplier oracle below tries n = 1, 2, 3, ... directly
-against the series, independently of the lcm shortcut under test.
+against the series, independently of the lcm shortcut under test, and
+`substituted` computes ch by its definition, xi = 1 - exp(x), with
+series multiplication instead of the Stirling closed form under test.
 """
 
 import operator
@@ -24,6 +26,22 @@ from swcohom.series import TruncatedSeries, log_one_minus
 F = Fraction
 
 
+def kclasses(d):
+    return st.lists(
+        st.integers(-20, 20), min_size=d, max_size=d
+    ).map(lambda cs: KClass(d, cs))
+
+
+def substituted(e):
+    # sum_j e_j (1 - exp(x))^j, one power of 1 - exp(x) at a time
+    t = one_minus_exp(e.d)
+    power, total = TruncatedSeries.one(e.d), TruncatedSeries.zero(e.d)
+    for e_j in e.coefficients:
+        total = total + power.scale(e_j)
+        power = power * t
+    return HClass(e.d, total.coefficients)
+
+
 def brute_force_multiplier(p, d):
     series = chern_character_inverse_monomial(1, p, d)
     n = 1
@@ -41,6 +59,26 @@ def test_kclass_rejects_non_integers():
         KClass(3, [1, F(1, 2), 0])
     with pytest.raises(ValueError):
         KClass(3, [1, 2.5, 0])
+
+
+# a float or a string stands for some other rational (0.1 is
+# 3602879701896397/36028797018963968), and True is no integer, so each
+# is refused, never read
+@pytest.mark.parametrize("build, error", [
+    (lambda: HClass(2, [0.1, 0]), TypeError),
+    (lambda: TruncatedSeries(2, ["1/3", 0]), TypeError),
+    (lambda: TruncatedSeries.one(2).scale(0.5), TypeError),
+    (lambda: HClass.xi(2) * True, TypeError),
+    (lambda: TruncatedSeries.monomial(2, 1, 0.25), TypeError),
+    (lambda: KClass.monomial(2, 1, 0.25), TypeError),
+    (lambda: KClass(2, [True, 0]), ValueError),
+], ids=["float-coefficient", "string-coefficient", "float-factor",
+        "bool-factor", "float-monomial", "float-kclass-monomial",
+        "bool-kclass"])
+def test_coefficients_are_exact(build, error):
+    match = "must be an int or a Fraction" if error is TypeError else "non-integer"
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_kclass_accepts_integral_fractions():
@@ -113,6 +151,12 @@ def test_ch_multiplicative_on_xi_squared():
     assert chern_character(xi * xi) == chern_character(xi) * chern_character(xi)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 12).flatmap(kclasses))
+def test_ch_matches_direct_substitution(e):
+    assert chern_character(e) == substituted(e)
+
+
 def test_one_minus_exp_leading_terms():
     s = one_minus_exp(5)
     assert list(s.coefficients) == [0, -1, F(-1, 2), F(-1, 6), F(-1, 24)]
@@ -136,10 +180,12 @@ def test_inverse_monomial_range_check():
         chern_character_inverse_monomial(1, 4, 4)
 
 
-@pytest.mark.parametrize("p,d", [(1, 4), (2, 5), (3, 7), (1, 10)])
+@pytest.mark.parametrize("p,d", [(p, d) for d in range(2, 31) for p in range(1, d)])
 def test_integerized_inverse_roundtrips(p, d):
     # scale by the minimal multiplier, reinterpret as a K-class, and map
-    # forward again: the image must be exactly n x^p
+    # forward again: the image must be exactly n x^p.  The two directions
+    # are Stirling numbers of the first and second kind, so this is their
+    # orthogonality (Graham, Knuth and Patashnik (6.31)) for every d <= 30
     n = minimal_integral_multiplier(p, d)
     series = chern_character_inverse_monomial(n, p, d)
     e = KClass.from_series(series)
@@ -166,12 +212,6 @@ def test_multiplier_matches_brute_force():
 
 
 # -- ring homomorphism property ---------------------------------------------
-
-
-def kclasses(d):
-    return st.lists(
-        st.integers(-20, 20), min_size=d, max_size=d
-    ).map(lambda cs: KClass(d, cs))
 
 
 @settings(max_examples=40, deadline=None)

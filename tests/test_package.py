@@ -1,5 +1,6 @@
 """The package namespace: every public name, resolved on first use."""
 
+import pkgutil
 from importlib import import_module
 
 import pytest
@@ -14,9 +15,9 @@ PUBLIC = {
     "ProperDemoReport", "ReductionProblem", "StabilityVerdict",
     "TruncatedSeries", "ValidationResult", "brouwer_degree",
     "builtin_compact", "chern_character", "chern_character_inverse_monomial",
-    "choose_reduction_subspace", "compose", "diagonal_witness",
+    "choose_reduction_subspace", "diagonal_witness",
     "dirac_index_d", "divisibility_constraint", "donaldson_admissible",
-    "donaldson_k", "e8_gram", "enumerate_coset_by_norm", "exp_series",
+    "donaldson_k", "e8_gram", "enumerate_coset_by_norm",
     "expected_moduli_dimension", "find_characteristic", "format_rational",
     "hurewicz_cokernel_order", "hurewicz_kernel_order", "is_characteristic",
     "k_from_bplus", "log_one_minus", "make_path",
@@ -39,6 +40,17 @@ def test_name_is_its_defining_modules_object(name):
     module = import_module(value.__module__)
     assert name in module.__all__
     assert getattr(module, name) is value
+
+
+# cli's one name is the console script, and linalg is an internal layer
+INTERNAL = {"cli", "linalg"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    {m.name for m in pkgutil.iter_modules(swcohom.__path__)} - INTERNAL))
+def test_submodule_all_is_public(module):
+    # a name public in its submodule is public in the package too
+    assert set(import_module(f"swcohom.{module}").__all__) <= set(swcohom.__all__)
 
 
 def test_dir_covers_all():

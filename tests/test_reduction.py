@@ -213,7 +213,7 @@ def test_dimensions_are_checked_before_the_compact_part_is_built(monkeypatch):
     # first; the patched builder fails the test if it is reached
     def unreachable(*args):
         raise AssertionError("compact part built before the dimension check")
-    monkeypatch.setattr(reduction, "compact_from_json", unreachable)
+    monkeypatch.setattr(reduction, "_compact_from_json", unreachable)
     for key in ("domain_dim", "target_dim"):
         doc = {"domain_dim": 2, "target_dim": 2,
                "linear_part": [["1", "0"], ["0", "1"]],

@@ -8,18 +8,14 @@ against `power_a`, the series power it replaced.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcohom.series import (
-    TruncatedSeries,
-    compose,
-    exp_series,
-    log_one_minus,
-    taylor_coefficients_a,
-)
+from swcohom.chern import HClass, KClass, chern_character
+from swcohom.series import TruncatedSeries, log_one_minus, taylor_coefficients_a
 
 F = Fraction
 
@@ -81,39 +77,17 @@ def test_immutable():
         s.order = 5
 
 
-# -- exp / log / compose ------------------------------------------------
+# -- log and the Chern character -----------------------------------------
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 8, 32])
 def test_exp_log_roundtrip(order):
-    got = exp_series(log_one_minus(order))
-    want = TruncatedSeries.one(order) - TruncatedSeries.xi(order)
-    assert got == want
-
-
-def test_exp_requires_zero_constant_term():
-    with pytest.raises(ValueError):
-        exp_series(TruncatedSeries.one(3))
-
-
-def test_compose_with_identity_is_identity():
-    s = log_one_minus(9)
-    assert compose(s, TruncatedSeries.xi(9)) == s
-
-
-def test_compose_requires_zero_inner_constant():
-    s = log_one_minus(4)
-    with pytest.raises(ValueError):
-        compose(s, TruncatedSeries.one(4))
-
-
-def test_compose_matches_direct_substitution():
-    # outer(inner) with outer = 1 + t + t^2, inner = xi + xi^2
-    order = 6
-    outer = TruncatedSeries(order, [1, 1, 1, 0, 0, 0])
-    inner = TruncatedSeries(order, [0, 1, 1, 0, 0, 0])
-    direct = TruncatedSeries.one(order) + inner + inner * inner
-    assert compose(outer, inner) == direct
+    # exp(log(1 - xi)) = 1 - xi, read through the Chern character
+    # xi -> 1 - exp(x): the smallest integral multiple n log(1 - xi) maps
+    # to n x
+    n = lcm(*range(1, order))
+    e = KClass.from_series(log_one_minus(order).scale(n))
+    assert chern_character(e) == HClass.monomial(order, 1, n)
 
 
 # -- the a(p, l) coefficients -------------------------------------------
@@ -193,12 +167,3 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + TruncatedSeries.zero(6) == a
     assert a * TruncatedSeries.one(6) == a
-
-
-@settings(max_examples=30, deadline=None)
-@given(series_of_order(7), series_of_order(7))
-def test_exp_turns_sums_into_products(a, b):
-    # exp(a+b) = exp(a)exp(b) for series with zero constant term
-    a = TruncatedSeries(7, (0,) + a.coefficients[1:])
-    b = TruncatedSeries(7, (0,) + b.coefficients[1:])
-    assert exp_series(a + b) == exp_series(a) * exp_series(b)
