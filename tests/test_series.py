@@ -8,7 +8,7 @@ against `power_a`, the series power it replaced.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +88,25 @@ def test_exp_log_roundtrip(order):
     n = lcm(*range(1, order))
     e = KClass.from_series(log_one_minus(order).scale(n))
     assert chern_character(e) == HClass.monomial(order, 1, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 6), st.integers(0, 6))
+def test_exp_turns_sums_into_products(d, a, b):
+    # L = 1 - xi has ch(L) = exp(x), so ch(L^k) is exp(kx), with x^n
+    # coefficient k^n/n!, and exp((a+b)x) = exp(ax)exp(bx)
+    def exp_kx(k):
+        return HClass(d, [F(k**n, factorial(n)) for n in range(d)])
+
+    def ch_of_power(k):
+        line = TruncatedSeries(d, [1, -1][:d] + [0] * (d - 2))
+        power = TruncatedSeries.one(d)
+        for _ in range(k):
+            power = power * line
+        return chern_character(KClass.from_series(power))
+
+    assert ch_of_power(a + b) == exp_kx(a + b) == exp_kx(a) * exp_kx(b)
+    assert ch_of_power(a + b) == ch_of_power(a) * ch_of_power(b)
 
 
 # -- the a(p, l) coefficients -------------------------------------------
