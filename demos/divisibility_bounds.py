@@ -29,7 +29,8 @@ def main():
     print(f"expected moduli dimension k = 2d - b+ - 1 = {k}")
 
     report = divisibility_constraint(m)
-    coeffs = ", ".join(str(c) for c in report.a_coeffs)
+    # a_coeffs holds (numerator, denominator) pairs in lowest terms
+    coeffs = ", ".join(str(Fraction(*c)) for c in report.a_coeffs)
     print(f"relevant Taylor coefficients a({report.p}, 0..{report.kappa}): {coeffs}")
     print(f"the invariant is divisible by lcm of denominators = {report.lower_bound}")
     print()

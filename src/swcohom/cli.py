@@ -8,7 +8,6 @@ exit status distinguishes domain errors (1) from I/O and parse errors
 (2).  Output is deterministic: identical inputs give identical bytes.
 """
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -29,6 +28,8 @@ def _domain(message):
 
 
 def _load_json(path):
+    # only lattice and reduce read JSON, so only they import json
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -91,13 +92,13 @@ def _run_dim(args):
 
 
 def _bound_row(r):
-    from .rational import format_rational
+    from .rational import _format_pair
     return {
         "d": r.d,
         "k": r.k,
         "p": r.p,
         "kappa": r.kappa,
-        "a_coeffs": [format_rational(c) for c in r.a_coeffs],
+        "a_coeffs": [_format_pair(num, den) for num, den in r.a_coeffs],
         "denominators": list(r.denominators),
         "lower_bound": r.lower_bound,
         "lemma_cokernel_order": r.lemma_cokernel_order,
@@ -245,7 +246,80 @@ def _run_chamber(args):
     }
 
 
-# -- table rendering --------------------------------------------------------
+# -- rendering --------------------------------------------------------------
+#
+# Reports and error documents hold dict, list, str, int, bool and None,
+# and the writer takes exactly these: it gives the text of
+# json.dumps(value, indent=2) or json.dumps(value), so that a job that
+# reads no JSON never imports json.
+
+# the escapes of json's ensure_ascii; every other character outside
+# " ".."~" becomes \uXXXX, and one outside the BMP a surrogate pair
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(c):
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _string(s):
+    # on an ASCII string isprintable() holds for " ".."~" only
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _encode(value, nl):
+    # nl is None on one line, else a newline and the indent of the line
+    # that value starts on
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        # past 4300 digits str() raises ValueError, a domain error
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = None if nl is None else nl + "  "
+        items = [_encode(v, inner) for v in value]
+        brackets = "[]"
+    elif kind is dict:
+        if not value:
+            return "{}"
+        inner = None if nl is None else nl + "  "
+        items = []
+        for key, v in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_string(key)}: {_encode(v, inner)}")
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if nl is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _dumps(value, indent=False):
+    """The text of json.dumps(value, indent=2) when ``indent``, else of
+    json.dumps(value).  Anything but the six kinds above raises
+    TypeError, floats, tuples and non-str keys included, which json.dumps
+    would write."""
+    return _encode(value, "\n" if indent else None)
 
 
 def _render_table(report):
@@ -440,6 +514,10 @@ def main(argv=None) -> int:
             return 0
         try:
             report = _COMMANDS[name][0](args)
+            # rendered here, so that a report integer too long for str()
+            # is a domain error too
+            text = (_render_table(report) if fmt == "table"
+                    else _dumps(report, indent=True))
         except (ArithmeticError, ValueError) as exc:
             raise _domain(str(exc)) from exc
     except CLIError as exc:
@@ -447,12 +525,9 @@ def main(argv=None) -> int:
             "schema": "swcohom/error/1",
             "error": {"code": exc.code, "message": str(exc)},
         }
-        print(json.dumps(doc), file=sys.stderr)
+        print(_dumps(doc), file=sys.stderr)
         return exc.status
-    if fmt == "table":
-        print(_render_table(report))
-    else:
-        print(json.dumps(report, indent=2))
+    print(text)
     return 0
 
 

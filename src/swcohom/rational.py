@@ -4,14 +4,16 @@ The wire format everywhere in this package is exact: a rational is the
 ASCII string "num/den", with "/den" omitted when the denominator is 1.
 No floating-point parsing anywhere, and a rational given in Python is
 an int or a Fraction, never a float or a string.
-"""
 
-from fractions import Fraction
+Importing this module loads no ``fractions``: only the functions that
+build a Fraction import it, so a job that formats integer pairs alone
+never pays for it.
+"""
 
 __all__ = ["parse_rational", "format_rational"]
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str):
     """Parse "num/den" (or plain "num") into a Fraction.
 
     The one grammar is ASCII -?[0-9]+(/[0-9]+)? with a nonzero
@@ -20,6 +22,7 @@ def parse_rational(text: str) -> Fraction:
     not a str (a JSON number, say), and ValueError on anything else that
     does not match, float-looking strings included.
     """
+    from fractions import Fraction
     if not isinstance(text, str):
         raise TypeError(
             f"expected a \"num/den\" string, got {type(text).__name__} {text!r}")
@@ -34,16 +37,27 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q) -> str:
-    """Format a Fraction (or int) as "num/den", omitting a unit denominator."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Format an int or a Fraction as "num/den", omitting a unit
+    denominator.
+
+    Only ``q.numerator`` and ``q.denominator`` are read, so anything
+    without them, a float or a string included, raises AttributeError.
+    """
+    return _format_pair(q.numerator, q.denominator)
 
 
-def _exact(x, what) -> Fraction:
+def _format_pair(numerator: int, denominator: int) -> str:
+    # the "num/den" text of a pair in lowest terms with a positive
+    # denominator, as an int or a Fraction carries it
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
+
+
+def _exact(x, what):
     # a float or a string would stand for some other rational, so a value
     # given in Python is an int or a Fraction, as JSON input is once parsed
+    from fractions import Fraction
     if type(x) is not int and type(x) is not Fraction:
         raise TypeError(
             f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")

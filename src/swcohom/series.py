@@ -10,8 +10,9 @@ The one series this package ultimately cares about is
 
     log(1 - xi)^p  =  sum_{l >= 0}  a(p, l) xi^(p + l),
 
-whose coefficients ``a(p, l)`` are produced by :func:`taylor_coefficients_a`
-from the closed form
+whose coefficients ``a(p, l)`` :func:`taylor_coefficients_a` gives as
+Fractions.  Their integer source is ``swcohom.divisibility``, which
+builds them from the closed form
 
     a(p, l) = (-1)^p p! c(p + l, p) / (p + l)!,
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .divisibility import _taylor_pairs
 from .rational import _exact, format_rational, parse_rational
 
 __all__ = [
@@ -192,33 +194,17 @@ def taylor_coefficients_a(p: int, kappa: int) -> list[Fraction]:
     """Coefficients a(p, 0..kappa): a(p, l) is the xi^(p+l) coefficient of
     log(1 - xi)^p.
 
-    Since log(1 - xi)^p / p! = sum_n (-1)^p c(n, p) xi^n / n! for the
-    unsigned Stirling numbers of the first kind c(n, p) (Graham, Knuth and
-    Patashnik, *Concrete Mathematics*, section 6.1 and (7.50)),
+    A Fraction view of the integer source in ``swcohom.divisibility``,
+    which builds
 
-        a(p, l) = (-1)^p c(p + l, p) / ((p + 1) (p + 2) ... (p + l)).
+        a(p, l) = (-1)^p c(p + l, p) / ((p + 1) (p + 2) ... (p + l))
 
-    The integers T[j][k] = c(k + j, k) obey
-
-        T[j][k] = (k + j - 1) T[j - 1][k] + T[j][k - 1],
-
-    with T[0][k] = 1 and T[j][0] = 0 for j >= 1, which is the recurrence
-    c(n + 1, k) = n c(n, k) + c(n, k - 1) at n = k + j - 1.  They are
-    built one row j at a time over k = 0..p, so only two rows of p + 1
-    integers are alive, and each a(p, l) becomes one Fraction at the end.
+    from the unsigned Stirling numbers of the first kind c(n, p) by their
+    recurrence (Graham, Knuth and Patashnik, *Concrete Mathematics*,
+    section 6.1 and (7.50)).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    sign = -1 if p % 2 else 1
-    row = [1] * (p + 1)
-    coeffs = [Fraction(sign)]
-    rising = 1
-    for j in range(1, kappa + 1):
-        prev, row = row, [0] * (p + 1)
-        for k in range(1, p + 1):
-            row[k] = (k + j - 1) * prev[k] + row[k - 1]
-        rising *= p + j
-        coeffs.append(Fraction(sign * row[p], rising))
-    return coeffs
+    return [Fraction(num, den) for num, den in _taylor_pairs(p, kappa)]

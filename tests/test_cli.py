@@ -8,10 +8,12 @@ import sys
 from math import factorial, log10
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import swcohom
 from swcohom import lattices
-from swcohom.cli import main
+from swcohom.cli import _dumps, main
 from swcohom.divisibility import MAX_D
 from swcohom.lattices import e8_gram
 
@@ -609,6 +611,51 @@ def test_help_prints_usage_and_returns(capsys):
         assert run(capsys, name, "-h") == (0, out, "")
 
 
+@HUGE_INT
+@pytest.mark.parametrize("fmt", [[], ["--format", "table"]], ids=["json", "table"])
+@pytest.mark.parametrize("argv", [
+    ["chamber", "--n", "9" * 4300, "--angles", "1/3"],
+    ["dim", "--d", "9" * 4300, "--bplus", "3"],
+], ids=["chamber-huge-n", "dim-huge-d"])
+def test_report_integer_too_long_for_text_is_one_domain_error(capsys, fmt, argv):
+    # 4300 digits convert from text, but the report's signed count n + 1
+    # or degree 2d - 4 has 4301, more than Python converts to text: the
+    # report is rendered inside main's error handling, never a traceback
+    status, out, err = run(capsys, *fmt, *argv)
+    assert (status, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["schema"] == "swcohom/error/1"
+    assert doc["error"]["code"] == "domain"
+
+
+# what reports and error documents hold, nested; the example pins lone
+# surrogates, which st.text() never draws, DEL, a non-BMP character and
+# every two-character escape
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner))
+
+
+@given(REPORT_VALUES)
+@example({"s": ["\ud800", "\udfff", "\x7f\x00\x1f \"\\\n\r\t\b\f\U0001d11e\u00e9"],
+          "": {}, "e": [], "n": [None, True, False, -10 ** 40]})
+def test_writer_is_json_dumps(value):
+    assert _dumps(value, indent=True) == json.dumps(value, indent=2)
+    assert _dumps(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.0], {"rows": [{"x": 2.5}]}, (1, 2), {1: "x"}, float("nan")])
+def test_writer_refuses_what_reports_do_not_hold(value):
+    # a float, a tuple and a non-str key, which json.dumps would write
+    with pytest.raises(TypeError):
+        _dumps(value, indent=True)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
 def test_module_invocation_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "swcohom.cli", "chamber",
@@ -628,11 +675,16 @@ _CHILD = ("import sys; before = set(sys.modules); {}; "
           "print('\\n'.join(sorted(set(sys.modules) - before)), file=sys.stderr)")
 _RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
         "assert status == 0")
+_RUN_DOMAIN_ERROR = _RUN.replace("status == 0", "status == 1")
 _SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
 # the command line is read without argparse, and so without gettext and
 # locale, which argparse loads
 _PARSER = {"argparse", "gettext", "locale"}
-_DIVISIBILITY_ABSENT = _PARSER | {
+# reports are written without json; only lattice and reduce read JSON
+_REPORT_ONLY = _PARSER | {"json"}
+# a(p, l) are integer pairs, and fractions loads decimal and numbers
+_DIVISIBILITY_ABSENT = _REPORT_ONLY | {
+    "fractions", "decimal", "numbers", "swcohom.series",
     "swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
 
 
@@ -643,15 +695,24 @@ _DIVISIBILITY_ABSENT = _PARSER | {
      _PARSER | {"fractions", "decimal"} | {f"swcohom.{m}" for m in (
          "reduction", "degree", "linalg", "series", "divisibility",
          "chamber", "chern")}),
-    (_RUN, ["index", "--c2", "40", "--sigma", "0"], _PARSER | {"fractions"}),
-    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | {"fractions"}),
+    (_RUN, ["index", "--c2", "40", "--sigma", "0"],
+     _REPORT_ONLY | {"fractions"}),
+    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _REPORT_ONLY | {"fractions"}),
     (_RUN, ["hurewicz", "--d", "6"], _DIVISIBILITY_ABSENT),
     (_RUN, ["bound", "--d", "300", "--k", "114"], _DIVISIBILITY_ABSENT),
+    (_RUN, ["sharpscan", "--dmin", "2", "--dmax", "300"],
+     _DIVISIBILITY_ABSENT),
+    (_RUN_DOMAIN_ERROR, ["bound", "--d", "2", "--k", "4"],
+     _DIVISIBILITY_ABSENT),
+    (_RUN, ["chamber", "--n", "3", "--angles", "1/3,3/2"],
+     _REPORT_ONLY | {f"swcohom.{m}" for m in (
+         "lattices", "reduction", "degree", "divisibility", "series")}),
     (_RUN, ["reduce", "--problem", "{problem}"],
      _PARSER | {f"swcohom.{m}" for m in (
          "lattices", "divisibility", "series", "chamber", "chern")}),
 ], ids=["import-package", "import-cli", "lattice", "index", "dim",
-        "hurewicz", "bound", "reduce"])
+        "hurewicz", "bound", "sharpscan", "bound-domain-error", "chamber",
+        "reduce"])
 def test_import_footprint(tmp_path, statement, argv, absent):
     # each subcommand loads only its own layer and the standard library
     paths = {"gram": tmp_path / "gram.json", "problem": tmp_path / "problem.json"}
@@ -662,7 +723,9 @@ def test_import_footprint(tmp_path, statement, argv, absent):
          *(a.format(**paths) for a in argv)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    added = proc.stderr.split()
+    # a domain error writes its document before the module list
+    added = [line for line in proc.stderr.splitlines()
+             if not line.startswith('{"schema": "swcohom/error/1"')]
     # the child loaded what it ran, so the absences below mean something
     assert ("swcohom.cli" if "cli" in statement else "swcohom") in added
     assert sorted(absent.intersection(added)) == []

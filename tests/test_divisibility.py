@@ -78,11 +78,22 @@ def test_degree_four_product_rule():
 def test_bound_d5_k2():
     r = sw_divisibility_lower_bound(5, 2)
     assert (r.p, r.kappa) == (3, 1)
-    assert r.a_coeffs == (F(-1), F(-3, 2))
+    assert r.a_coeffs == ((-1, 1), (-3, 2))
     assert r.denominators == (1, 2)
     assert r.lower_bound == 2
     assert r.lemma_cokernel_order == 2
     assert r.sharp is True
+
+
+def test_a_pairs_match_the_closed_forms_for_kappa_up_to_two():
+    # a(p, 0..2) = (-1)^p (1, p/2, p(3p + 5)/24), from c(n, n-1) = C(n, 2)
+    # and c(n, n-2) = (3n - 1) C(n, 3)/4 (Graham, Knuth and Patashnik,
+    # section 6.1): an oracle of the integer source, in lowest terms
+    for p in range(1, 1000):
+        sign = (-1) ** p
+        oracle = [F(sign), F(sign * p, 2), F(sign * p * (3 * p + 5), 24)]
+        pairs = [(q.numerator, q.denominator) for q in oracle]
+        assert list(divisibility._taylor_pairs(p, 2)) == pairs, p
 
 
 def test_bound_k0_is_trivial():
@@ -198,6 +209,14 @@ def test_scan_contents_and_non_sharp_witness():
     assert any(r.sharp is False for r in reports)
 
 
+def test_scan_rows_are_the_bounds():
+    # the scan reads every row from one table, a bound builds its own
+    reports = sharpness_scan(2, 300)
+    assert reports == [sw_divisibility_lower_bound(r.d, r.k) for r in reports]
+    assert [(r.d, r.k) for r in reports] == [
+        (d, k) for d in range(3, 301) for k in (2, 4) if (d, k) != (3, 4)]
+
+
 def test_scan_rejects_empty_range():
     with pytest.raises(ValueError):
         sharpness_scan(5, 4)
@@ -206,10 +225,10 @@ def test_scan_rejects_empty_range():
 
 
 def test_budget_is_checked_before_any_work(monkeypatch):
-    def no_work(p, kappa):
+    def no_work(p_max, kappa):
         raise AssertionError("a(p, l) computed past the budget")
 
-    monkeypatch.setattr(divisibility, "taylor_coefficients_a", no_work)
+    monkeypatch.setattr(divisibility, "_stirling_table", no_work)
     message = f"divisibility budget exceeded: d must be at most {MAX_D}"
     with pytest.raises(ArithmeticError, match=message):
         sw_divisibility_lower_bound(MAX_D + 1, 2 * MAX_D - 2)

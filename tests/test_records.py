@@ -63,8 +63,8 @@ RECORDS = [
      "corrected_value_norms=(Fraction(15, 16), Fraction(31, 32)), "
      "literal_found_unbounded=False, corrected_found_unbounded=True)"),
     (lambda: sw_divisibility_lower_bound(6, 6),
-     "DivisibilityReport(d=6, k=6, p=2, kappa=3, a_coeffs=(Fraction(1, 1), "
-     "Fraction(1, 1), Fraction(11, 12), Fraction(5, 6)), "
+     "DivisibilityReport(d=6, k=6, p=2, kappa=3, a_coeffs=((1, 1), "
+     "(1, 1), (11, 12), (5, 6)), "
      "denominators=(1, 1, 12, 6), lower_bound=12, "
      "lemma_cokernel_order=None, sharp=None)"),
     (lambda: FourManifoldData(0, 3, 19, 0),
