@@ -24,6 +24,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import floor
 
+from .rational import _exact
+
 __all__ = [
     "LatitudePath",
     "ChamberCount",
@@ -39,17 +41,17 @@ SECOND_HALF = "second_half"
 class LatitudePath:
     """Piecewise-linear lift of a latitude path, in units of pi.
 
-    breakpoints are (time, angle) pairs with times strictly increasing
-    from 0 to 1.  The difference end - start must be an odd integer
-    +-(2n+1); its sign is the traversal orientation and n is the class.
+    breakpoints are (time, angle) pairs of ints or Fractions, with times
+    strictly increasing from 0 to 1.  The difference end - start must be
+    an odd integer +-(2n+1); its sign is the traversal orientation and n
+    is the class.
     """
 
     __slots__ = ("breakpoints",)
 
     def __init__(self, breakpoints):
-        pts = tuple(
-            (Fraction(t), Fraction(a)) for t, a in breakpoints
-        )
+        pts = tuple((_exact(t, "a breakpoint time"),
+                     _exact(a, "a breakpoint angle")) for t, a in breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
         if pts[0][0] != 0 or pts[-1][0] != 1:
@@ -118,10 +120,11 @@ def _segment_crossings(theta_a: Fraction, theta_b: Fraction,
 def signed_preimage_count(path: LatitudePath, point_angle) -> ChamberCount:
     """Signed count of path crossings of the target angle's preimages.
 
-    point_angle is in units of pi and must be generic: inside (0, 2) and
-    distinct from 1 (the two poles 0 and pi separate the chambers).
+    point_angle is an int or a Fraction in units of pi and must be
+    generic: inside (0, 2) and distinct from 1 (the two poles 0 and pi
+    separate the chambers).
     """
-    alpha = Fraction(point_angle)
+    alpha = _exact(point_angle, "a point angle")
     if not 0 < alpha < 2 or alpha == 1:
         raise ValueError(
             f"point angle {alpha} pi is a pole or out of range"

@@ -42,6 +42,15 @@ def _load_json(path):
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 
+def _decode(path, from_json, what):
+    doc = _load_json(path)
+    # from_json checks every rule of the format; a refusal is a parse error
+    try:
+        return from_json(doc)
+    except (TypeError, ValueError) as exc:
+        raise CLIError(2, "parse", f"bad {what}: {exc}") from exc
+
+
 def _rational_option(flag, text):
     # a rational option reaches its handler as a string and is parsed
     # there, so that only the subcommands that read one import fractions;
@@ -144,17 +153,7 @@ def _run_sharpscan(args):
 def _run_lattice(args):
     from .fourmanifold import donaldson_k
     from .lattices import GramMatrix, _decide
-    doc = _load_json(args.gram)
-    if isinstance(doc, dict):
-        # {"gram": matrix} and nothing else
-        extra = sorted(set(doc) - {"gram"})
-        if extra:
-            raise CLIError(2, "parse", f"bad Gram matrix: unknown keys {extra}")
-        doc = doc.get("gram", doc)
-    try:
-        g = GramMatrix(doc)
-    except (TypeError, ValueError) as exc:
-        raise CLIError(2, "parse", f"bad Gram matrix: {exc}") from exc
+    g = _decode(args.gram, GramMatrix.from_json, "Gram matrix")
     # one elimination gives both the failure and the verdict
     failure, verdict = _decide(g)
     out = {
@@ -193,14 +192,7 @@ def _run_reduce(args):
     if args.samples < 1:
         raise CLIError(2, "parse",
                        f"bad --samples: need at least 1, got {args.samples}")
-    doc = _load_json(args.problem)
-    try:
-        p = ReductionProblem.from_json(doc)
-    except KeyError as exc:
-        raise CLIError(2, "parse",
-                       f"bad reduction problem: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CLIError(2, "parse", f"bad reduction problem: {exc}") from exc
+    p = _decode(args.problem, ReductionProblem.from_json, "reduction problem")
     v_basis = choose_reduction_subspace(p, epsilon, args.samples)
     report = reduce_and_degree(p, v_basis)
     miss = report.miss
@@ -447,7 +439,7 @@ def _option_value(name, flag, kind, text):
         raise CLIError(2, "parse", f"{name}: bad {flag}: an integer of "
                        f"{len(text)} characters is longer than Python "
                        "converts") from exc
-    if kind is not int and value not in kind:
+    if isinstance(kind, tuple) and value not in kind:
         raise CLIError(2, "parse", f"{name}: bad {flag}: {value} is not one "
                        f"of {', '.join(map(str, kind))}")
     return value
@@ -514,12 +506,16 @@ def main(argv=None) -> int:
             return 0
         try:
             report = _COMMANDS[name][0](args)
-            # rendered here, so that a report integer too long for str()
-            # is a domain error too
-            text = (_render_table(report) if fmt == "table"
-                    else _dumps(report, indent=True))
         except (ArithmeticError, ValueError) as exc:
             raise _domain(str(exc)) from exc
+        try:
+            text = (_render_table(report) if fmt == "table"
+                    else _dumps(report, indent=True))
+        except ValueError as exc:
+            # only str() of an int past the interpreter's limit raises here
+            raise _domain(f"{name}: a report integer is longer than the "
+                          f"{sys.get_int_max_str_digits()}-digit limit of "
+                          "integer text") from exc
     except CLIError as exc:
         doc = {
             "schema": "swcohom/error/1",

@@ -14,12 +14,15 @@ fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
 lcm_k d_{k-1} d_k every term is an integer, so each Fincke-Pohst
 coordinate range costs one integer square root, never a float or a
 Fraction.  A walk stops with an ArithmeticError after MAX_NODES
-coordinate values.
+coordinate values, and a form of rank over MAX_RANK is refused before
+its elimination.
 """
 
 from collections import namedtuple
 from itertools import chain
 from math import isqrt, lcm
+
+from .rational import _keys, _strict_int
 
 __all__ = [
     "GramMatrix",
@@ -53,13 +56,16 @@ class GramMatrix(namedtuple("GramMatrix", "n entries")):
                 or any(not isinstance(row, (list, tuple))
                        or len(row) != len(entries) for row in entries)):
             raise ValueError("entries must form a nonempty square matrix")
-        rows = tuple(tuple(row) for row in entries)
-        for row in rows:
-            for x in row:
-                if type(x) is not int:
-                    raise ValueError(
-                        f"entries must be integers, got {type(x).__name__} {x!r}")
+        rows = tuple(tuple(_strict_int(x, "an entry") for x in row)
+                     for row in entries)
         return super().__new__(cls, len(rows), rows)
+
+    @classmethod
+    def from_json(cls, doc) -> "GramMatrix":
+        """The matrix of a JSON document, bare or as {"gram": matrix}."""
+        if type(doc) is dict:
+            doc = _keys(doc, ("gram",), (), "the top level")["gram"]
+        return cls(doc)
 
     def __getnewargs__(self):
         # copy and pickle rebuild through __new__, which takes entries only
@@ -77,11 +83,9 @@ class LatticeVector(namedtuple("LatticeVector", "coords")):
     __slots__ = ()
 
     def __new__(cls, coords):
-        if (not isinstance(coords, (list, tuple))
-                or any(type(x) is not int for x in coords)):
-            raise ValueError(
-                f"coords must be a list or tuple of integers, got {coords!r}")
-        return super().__new__(cls, tuple(coords))
+        if not isinstance(coords, (list, tuple)):
+            raise ValueError(f"coords must be a list or tuple, got {coords!r}")
+        return super().__new__(cls, tuple(_strict_int(x, "a coordinate") for x in coords))
 
     def to_json(self) -> list[int]:
         return list(self.coords)
@@ -93,6 +97,8 @@ AdmissibilityVerdict = namedtuple("AdmissibilityVerdict",
 
 # coordinate values one walk may try before it gives up
 MAX_NODES = 1 << 20
+# the largest rank eliminated; the elimination's cost grows as the cube
+MAX_RANK = 64
 
 
 def _bareiss(a) -> list[list[int]]:
@@ -154,6 +160,9 @@ def _eliminate(g: GramMatrix):
     rows of -G in reversed coordinates (None when g is not symmetric);
     by Sylvester's criterion the order does not change the verdict.
     """
+    if g.n > MAX_RANK:
+        raise ArithmeticError(
+            f"lattice budget exceeded: rank must be at most {MAX_RANK}")
     e = g.entries
     for i in range(g.n):
         for j in range(i):
@@ -267,9 +276,7 @@ def enumerate_coset_by_norm(g: GramMatrix, c0: LatticeVector, bound: int):
     """All characteristic vectors c in c0 + 2L with -c^2 <= bound, one
     representative per sign pair, sorted by (-c^2, coordinates).
     """
-    if type(bound) is not int:
-        raise ValueError(
-            f"bound must be an integer, got {type(bound).__name__} {bound!r}")
+    _strict_int(bound, "bound")
     rows = _require_valid(g)
     if not is_characteristic(g, c0):
         raise ValueError("c0 is not characteristic")

@@ -1,9 +1,10 @@
-"""Parsing and formatting of exact rationals as "num/den" strings.
+"""Exact rationals as "num/den" strings, and every rule of JSON input.
 
 The wire format everywhere in this package is exact: a rational is the
 ASCII string "num/den", with "/den" omitted when the denominator is 1.
 No floating-point parsing anywhere, and a rational given in Python is
-an int or a Fraction, never a float or a string.
+an int or a Fraction, never a float or a string.  An integer is an
+int, and an object holds the keys of its format, no other.
 
 Importing this module loads no ``fractions``: only the functions that
 build a Fraction import it, so a job that formats integer pairs alone
@@ -58,7 +59,34 @@ def _exact(x, what):
     # a float or a string would stand for some other rational, so a value
     # given in Python is an int or a Fraction, as JSON input is once parsed
     from fractions import Fraction
-    if type(x) is not int and type(x) is not Fraction:
+    if type(x) not in (int, Fraction):
         raise TypeError(
             f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
     return Fraction(x)
+
+
+def _strict_int(x, what):
+    # a float or a bool is refused, never truncated by int()
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(x).__name__} {x!r}")
+    return x
+
+
+def _expect(x, kind, what):
+    # a JSON string iterates like a list and has "in"; refuse it, and any
+    # other type, wherever the format needs a list or a dict
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _keys(obj, required, optional, what):
+    # obj, a dict with every required key and no key outside required and
+    # optional: a key the format does not name is refused, never ignored
+    for key in _expect(obj, dict, what):
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} takes no key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+    return obj

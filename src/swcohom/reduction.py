@@ -43,7 +43,8 @@ from .linalg import (
     vec_dot,
     vec_scale,
 )
-from .rational import _exact, format_rational, parse_rational
+from .rational import (_exact, _expect, _keys, _strict_int, format_rational,
+                       parse_rational)
 
 __all__ = [
     "PolynomialMap",
@@ -63,13 +64,6 @@ __all__ = [
 
 
 # -- compact part evaluators ---------------------------------------------
-
-
-def _strict_int(x, what):
-    # JSON floats and booleans are refused, never truncated by int()
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {type(x).__name__} {x!r}")
-    return x
 
 
 def _over_common_denominator(x):
@@ -196,49 +190,24 @@ class PiecewisePolynomialMap:
         }
 
 
-def _only_keys(obj, keys, what):
-    # a key the format does not name is refused, never ignored
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"{what} {key!r}")
-
-
 def builtin_compact(name, dim, params=None, target_dim=None):
     """Registered compact parts on R^dim: "zero" (to R^target_dim,
     R^dim when not given), "constant" (takes a vector, its only
     parameter), and "complex_square_minus_one" (z^2 - 1 on R^2).
     """
-    params = params or {}
-    if name == "zero":
-        m = PolynomialMap(dim, [[] for _ in range(target_dim or dim)])
-    elif name == "constant":
-        vector = [_exact(v, "a constant vector entry") for v in params["vector"]]
-        m = PolynomialMap(
-            dim, [[(v, (0,) * dim)] for v in vector]
-        )
-    elif name == "complex_square_minus_one":
-        if dim != 2:
-            raise ValueError("complex_square_minus_one needs dimension 2")
-        m = PolynomialMap(
-            2,
-            [
-                [(Fraction(1), (2, 0)), (Fraction(-1), (0, 2)), (Fraction(-1), (0, 0))],
-                [(Fraction(2), (1, 1))],
-            ],
-        )
-    else:
+    if name not in ("zero", "constant", "complex_square_minus_one"):
         raise ValueError(f"unknown builtin compact part {name!r}")
-    _only_keys(params, ("vector",) if name == "constant" else (),
-               f"builtin {name!r} takes no parameter")
-    return m
-
-
-def _expect(x, kind, what):
-    # a JSON string iterates like a list and has "in"; refuse it, and any
-    # other type, wherever the format needs a list or a dict
-    if type(x) is not kind:
-        raise ValueError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
-    return x
+    params = _keys(params or {}, ("vector",) if name == "constant" else (),
+                   (), f"builtin {name!r}")
+    if name == "zero":
+        return PolynomialMap(dim, [[] for _ in range(target_dim or dim)])
+    if name == "constant":
+        vector = [_exact(v, "a constant vector entry") for v in params["vector"]]
+        return PolynomialMap(dim, [[(v, (0,) * dim)] for v in vector])
+    if dim != 2:
+        raise ValueError("complex_square_minus_one needs dimension 2")
+    return PolynomialMap(2, [[(1, (2, 0)), (-1, (0, 2)), (-1, (0, 0))],
+                             [(2, (1, 1))]])
 
 
 def _polynomial_from_json(components, input_dim):
@@ -268,18 +237,18 @@ def _compact_from_json(obj, input_dim, target_dim):
     if "pieces" in obj:
         pieces = []
         for piece in _expect(obj["pieces"], list, "pieces"):
-            t = _expect(piece, dict, "a piece").get("if_norm2_le")
+            t = _keys(piece, ("components",), ("if_norm2_le",),
+                      "a piece").get("if_norm2_le")
             threshold = None if t is None else parse_rational(t)
             pieces.append(
                 (threshold, _polynomial_from_json(piece["components"], input_dim)))
-            _only_keys(piece, ("if_norm2_le", "components"), "a piece takes no key")
         compact_part, kind = PiecewisePolynomialMap(pieces), "pieces"
     elif "components" in obj:
         compact_part = _polynomial_from_json(obj["components"], input_dim)
         kind = "components"
     else:
         raise ValueError("compact_part must give a builtin, pieces, or components")
-    _only_keys(obj, (kind,), f"compact_part with {kind} takes no key")
+    _keys(obj, (kind,), (), f"compact_part with {kind}")
     return compact_part
 
 
@@ -291,6 +260,8 @@ MAX_DEGREE = 64
 
 
 def _check_dimensions(domain_dim, target_dim):
+    _strict_int(domain_dim, "domain_dim")
+    _strict_int(target_dim, "target_dim")
     if not 1 <= domain_dim <= 4 or not 1 <= target_dim <= 4:
         raise ValueError("dimensions must be between 1 and 4")
 
@@ -353,10 +324,8 @@ class ReductionProblem(namedtuple(
 
     @classmethod
     def from_json(cls, obj) -> "ReductionProblem":
-        _expect(obj, dict, "the top level")
-        _only_keys(obj, cls._fields, "the top level takes no key")
-        domain_dim = _strict_int(obj["domain_dim"], "domain_dim")
-        target_dim = _strict_int(obj["target_dim"], "target_dim")
+        _keys(obj, cls._fields, (), "the top level")
+        domain_dim, target_dim = obj["domain_dim"], obj["target_dim"]
         # before anything sized by them is built
         _check_dimensions(domain_dim, target_dim)
         linear = [

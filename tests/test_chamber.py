@@ -144,3 +144,19 @@ def test_path_validation():
         make_path(-1)
     with pytest.raises(ValueError):
         make_path(2, [(0, 0), (1, 3)])          # class mismatch
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", "0.5", True],
+                         ids=["float", "rational-string", "decimal-string", "bool"])
+def test_angles_and_times_are_exact(bad):
+    # a float would stand for some other rational (0.3 is
+    # 5404319552844595/18014398509481984) and a string for a parse, so an
+    # angle or a time given in Python is an int or a Fraction
+    kind = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^a point angle must be an int or a "
+                                        f"Fraction, got {kind} "):
+        signed_preimage_count(make_path(2), bad)
+    with pytest.raises(TypeError, match="^a breakpoint time must be"):
+        LatitudePath([(0, 0), (bad, 1), (1, 3)])
+    with pytest.raises(TypeError, match="^a breakpoint angle must be"):
+        make_path(1, [(0, 0), (Fraction(1, 2), bad), (1, 3)])

@@ -15,7 +15,14 @@ import swcohom
 from swcohom import lattices
 from swcohom.cli import _dumps, main
 from swcohom.divisibility import MAX_D
-from swcohom.lattices import e8_gram
+from swcohom.lattices import (
+    GramMatrix,
+    LatticeVector,
+    e8_gram,
+    enumerate_coset_by_norm,
+    minus_identity,
+)
+from swcohom.reduction import PolynomialMap, ReductionProblem, builtin_compact
 
 
 def run(capsys, *argv):
@@ -350,6 +357,7 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["dim", "--d", "5", "--c2", "0", "--bplus", "3"], {}),
     (["dim", "--d", "5", "--sigma", "0", "--bplus", "3"], {}),
     (["lattice", "--gram", "{gram}"], {"gram": {"gram": [[-1]], "extra": 1}}),
+    (["lattice", "--gram", "{gram}"], {"gram": {}}),
     (["reduce", "--problem", "{problem}"],
      {"problem": dict(TRANSLATION_PROBLEM, extra_key=1)}),
     (["reduce", "--problem", "{problem}", "--epsilon", "1_0/40"],
@@ -387,7 +395,7 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "gram-deep-nesting", "reduce-not-utf8", "reduce-huge-integer",
         "usage-non-integer-option", "usage-missing-option",
         "usage-unknown-subcommand", "dim-d-with-c2-and-sigma",
-        "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key",
+        "dim-d-with-c2", "dim-d-with-sigma", "gram-extra-key", "gram-empty-object",
         "reduce-extra-key", "epsilon-underscore", "angles-arabic-indic-digits",
         "angles-fullwidth-digits", "angles-plus-sign", "angles-spaces",
         "angles-negative-denominator", "reduce-radius-trailing-space",
@@ -430,7 +438,9 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     if request.node.callspec.id == "reduce-list-builtin-name":
         assert "unknown builtin compact part ['zero']" in message
     if request.node.callspec.id == "gram-extra-key":
-        assert message.endswith("unknown keys ['extra']")
+        assert message.endswith("takes no key 'extra'")
+    if request.node.callspec.id == "gram-empty-object":
+        assert message == "bad Gram matrix: missing key 'gram'"
     if request.node.callspec.id == "reduce-extra-key":
         assert message.endswith("takes no key 'extra_key'")
     if request.node.callspec.id.startswith("angles-"):
@@ -453,6 +463,58 @@ _OPTION_MESSAGES = {
     "usage-missing-option": "reduce: missing --problem",
     "usage-unknown-subcommand": "unknown subcommand 'frobnicate'",
 }
+
+
+def _problem(domain_dim=2, target_dim=2):
+    return ReductionProblem(domain_dim, target_dim, [[1, 0], [0, 1]],
+                            builtin_compact("zero", 2), 2)
+
+
+# each integer field of both input formats: (what, the Python call, and
+# the subcommand and document that reach it through the command line)
+_INTEGER_FIELDS = {
+    "gram-entry": ("an entry", lambda x: GramMatrix([[-1, 0], [0, x]]),
+                   ("gram", lambda x: [[-1, 0], [0, x]])),
+    "lattice-coordinate": ("a coordinate", lambda x: LatticeVector([1, x]),
+                           None),
+    "coset-bound": ("bound", lambda x: enumerate_coset_by_norm(
+        minus_identity(2), LatticeVector([1, 1]), x), None),
+    "exponent": ("exponent",
+                 lambda x: PolynomialMap(2, [[(1, (x, 0))], []]),
+                 ("problem", lambda x: dict(TRANSLATION_PROBLEM, compact_part={
+                     "components": [[["1", [x, 0]]], []]}))),
+    "domain-dim": ("domain_dim", lambda x: _problem(domain_dim=x),
+                   ("problem", lambda x: dict(TRANSLATION_PROBLEM,
+                                              domain_dim=x))),
+    "target-dim": ("target_dim", lambda x: _problem(target_dim=x),
+                   ("problem", lambda x: dict(TRANSLATION_PROBLEM,
+                                              target_dim=x))),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_every_integer_field_refuses_bools_and_floats_alike(
+        capsys, tmp_path, field, value):
+    # one check reads every integer of both formats, so a bool or a float
+    # gets one message, from Python and from a file alike
+    what, build, cli = _INTEGER_FIELDS[field]
+    message = f"{what} must be an integer, got {type(value).__name__} {value!r}"
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == message
+    if cli is None:
+        return
+    kind, document = cli
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document(value)))
+    status, out, err = run(capsys, "lattice" if kind == "gram" else "reduce",
+                           f"--{kind}", str(path))
+    assert (status, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse"
+    described = "Gram matrix" if kind == "gram" else "reduction problem"
+    assert error["message"] == f"bad {described}: {message}"
 
 
 # (1 - |x|^2)^2 on R^2 as monomial terms
@@ -628,6 +690,11 @@ def test_report_integer_too_long_for_text_is_one_domain_error(capsys, fmt, argv)
     doc = json.loads(lines[0])
     assert doc["schema"] == "swcohom/error/1"
     assert doc["error"]["code"] == "domain"
+    # the message names the subcommand and the limit, not the interpreter
+    # setting that lifts it
+    assert doc["error"]["message"] == (
+        f"{argv[0]}: a report integer is longer than the 4300-digit limit "
+        "of integer text")
 
 
 # what reports and error documents hold, nested; the example pins lone

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcohom import lattices
+from swcohom.cli import main
 from swcohom.lattices import (
+    MAX_RANK,
     AdmissibilityVerdict,
     GramMatrix,
     LatticeVector,
@@ -217,6 +219,18 @@ def test_gram_shape_errors():
         GramMatrix([[True]])
 
 
+def test_gram_from_json_reads_a_bare_or_wrapped_matrix():
+    assert GramMatrix.from_json([[-1]]) == GramMatrix([[-1]])
+    assert GramMatrix.from_json({"gram": [[-1]]}) == GramMatrix([[-1]])
+    for doc, message in (({}, "missing key 'gram'"),
+                         ({"gram": [[-1]], "rank": 1},
+                          "the top level takes no key 'rank'"),
+                         ({"gram": {"gram": [[-1]]}},
+                          "entries must form a nonempty square matrix")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GramMatrix.from_json(doc)
+
+
 def test_lattice_vector_refuses_non_integers():
     # int() would truncate [1.9, -1.2] to the characteristic (1, -1) of
     # -I_2 and split "12" into (1, 2)
@@ -230,6 +244,31 @@ def test_enumerate_refuses_a_non_integer_bound():
     for bound in (2.0, 1.5, Fraction(2), True, "2"):
         with pytest.raises(ValueError, match="bound must be an integer"):
             enumerate_coset_by_norm(minus_identity(2), LatticeVector([1, 1]), bound)
+
+
+def test_rank_budget_is_checked_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(a):
+        raise AssertionError("a form eliminated past the budget")
+
+    monkeypatch.setattr(lattices, "_bareiss", no_work)
+    g = minus_identity(MAX_RANK + 1)
+    message = f"lattice budget exceeded: rank must be at most {MAX_RANK}"
+    for decide in (validate, donaldson_admissible, diagonal_witness,
+                   find_characteristic):
+        with pytest.raises(ArithmeticError, match=message):
+            decide(g)
+    path = tmp_path / "gram.json"
+    path.write_text(str(g.to_json()))
+    status = main(["lattice", "--gram", str(path)])
+    out, err = capsys.readouterr()
+    assert (status, out) == (1, "")
+    assert err == ('{"schema": "swcohom/error/1", "error": {"code": "domain", '
+                   f'"message": "{message}"}}}}\n')
+
+
+def test_rank_budget_admits_its_own_rank():
+    verdict = donaldson_admissible(minus_identity(MAX_RANK))
+    assert verdict.admissible and verdict.min_norm == MAX_RANK
 
 
 # -- characteristic vectors ---------------------------------------------------
