@@ -27,27 +27,37 @@ def _domain(message):
     return CLIError(1, "domain", message)
 
 
+# an input file holds at most this many characters; it bounds the work of
+# the reader, and -I_64, the largest form lattices.MAX_RANK admits, takes
+# about 12.5 thousand
+MAX_INPUT_CHARS = 1 << 20
+
+
 def _load_json(path):
-    # only lattice and reduce read JSON, so only they import json
-    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read(MAX_INPUT_CHARS + 1)
+        if len(text) > MAX_INPUT_CHARS:
+            raise _domain(f"input budget exceeded: {path} is longer than "
+                          f"{MAX_INPUT_CHARS} characters")
+        return _loads(text)
     except OSError as exc:
         raise CLIError(2, "io", f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, a file that is not UTF-8, an integer longer
-        # than Python converts from a string, or nesting deeper than the
-        # decoder recurses
+        # a file that is not UTF-8, a text off the JSON grammar, an integer
+        # longer than Python converts from a string, or nesting deeper than
+        # the reader recurses
         raise CLIError(2, "parse", f"malformed JSON in {path}: {exc}") from exc
 
 
 def _decode(path, from_json, what):
     doc = _load_json(path)
-    # from_json checks every rule of the format; a refusal is a parse error
+    # from_json checks every rule of the format; a refusal is a parse
+    # error, and so is a document nested so deep, just under what the
+    # reader takes, that the repr in a refusal's message runs out of stack
     try:
         return from_json(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CLIError(2, "parse", f"bad {what}: {exc}") from exc
 
 
@@ -236,6 +246,175 @@ def _run_chamber(args):
         "counts": counts,
         "jump": wall_crossing_jump(path),
     }
+
+
+# -- reading ----------------------------------------------------------------
+#
+# lattice and reduce read one JSON document each.  The reader takes the
+# texts json.loads takes and gives equal values, NaN, the infinities and
+# the digit limit of integer text included, with json's error messages,
+# so that no job imports json.  It reads character by character: json's
+# C scanner raises its errors through json.decoder (SystemError while that
+# is not loaded), and compiling one regular expression costs about as
+# much as importing json.  A nested array or object is one level of
+# Python recursion, so nesting past the recursion limit raises
+# RecursionError.
+
+_WHITESPACE = " \t\n\r"
+# the word a value starting with the key is read as, or, for "-", a number
+_WORDS = {"n": ("null", None), "t": ("true", True), "f": ("false", False),
+          "N": ("NaN", float("nan")), "I": ("Infinity", float("inf")),
+          "-": ("-Infinity", float("-inf"))}
+_UNESCAPE = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
+             "n": "\n", "r": "\r", "t": "\t"}
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
+def _malformed(message, text, pos):
+    # json.JSONDecodeError's text, as a ValueError
+    line = text.count("\n", 0, pos) + 1
+    column = pos - text.rfind("\n", 0, pos)
+    return ValueError(f"{message}: line {line} column {column} (char {pos})")
+
+
+def _skip(text, i):
+    # the first index at or after i that is not JSON whitespace
+    n = len(text)
+    while i < n and text[i] in _WHITESPACE:
+        i += 1
+    return i
+
+
+def _hex4(text, i, at):
+    # the four hex digits at text[i:i + 4]; json reports a bad one at ``at``
+    digits = text[i:i + 4]
+    if not _HEX.issuperset(digits):
+        raise _malformed("Invalid \\uXXXX escape", text, at)
+    return int(digits, 16)
+
+
+def _read_string(text, i):
+    """(string, end) for the string whose opening quote is text[i - 1]."""
+    begin, n = i - 1, len(text)
+    chunks = []
+    # the next quote and backslash at or after i, n for none; each is
+    # looked for again only once i has passed it
+    quote = backslash = begin
+    while True:
+        if quote < i:
+            quote = text.find('"', i)
+            quote = n if quote < 0 else quote
+        if backslash < i:
+            backslash = text.find("\\", i)
+            backslash = n if backslash < 0 else backslash
+        stop = min(quote, backslash)
+        chunk = text[i:stop]
+        if not chunk.isprintable() and min(chunk) < " ":
+            for j, c in enumerate(chunk, i):
+                if c < " ":
+                    raise _malformed("Invalid control character at", text, j)
+        chunks.append(chunk)
+        if quote < backslash:
+            return "".join(chunks), quote + 1
+        if stop + 1 >= n:
+            raise _malformed("Unterminated string starting at", text, begin)
+        c = text[stop + 1]
+        if c != "u":
+            if c not in _UNESCAPE:
+                raise _malformed("Invalid \\escape", text, stop)
+            chunks.append(_UNESCAPE[c])
+            i = stop + 2
+            continue
+        # \uXXXX, and a high surrogate joins a low one escaped right after
+        i = stop + 6
+        if i >= n:
+            raise _malformed("Invalid \\uXXXX escape", text, stop + 1)
+        code = _hex4(text, stop + 2, stop + 1)
+        if 0xD800 <= code <= 0xDBFF and i + 6 < n and text[i:i + 2] == "\\u":
+            low = _hex4(text, i + 2, i + 1)
+            if 0xDC00 <= low <= 0xDFFF:
+                code = 0x10000 + ((code - 0xD800) << 10 | low - 0xDC00)
+                i += 6
+        chunks.append(chr(code))
+
+
+def _read_value(text, i):
+    """(value, end) for the value that starts at text[i]."""
+    c = text[i:i + 1]
+    if c == '"':
+        return _read_string(text, i + 1)
+    if c == "[" or c == "{":
+        close = "]" if c == "[" else "}"
+        items = [] if c == "[" else {}
+        i = _skip(text, i + 1)
+        if text[i:i + 1] == close:
+            return items, i + 1
+        while True:
+            if c == "[":
+                value, i = _read_value(text, i)
+                items.append(value)
+            else:
+                if text[i:i + 1] != '"':
+                    raise _malformed("Expecting property name enclosed in "
+                                     "double quotes", text, i)
+                key, i = _read_string(text, i + 1)
+                i = _skip(text, i)
+                if text[i:i + 1] != ":":
+                    raise _malformed("Expecting ':' delimiter", text, i)
+                # a repeated key keeps its first place and its last value
+                items[key], i = _read_value(text, _skip(text, i + 1))
+            i = _skip(text, i)
+            if text[i:i + 1] == close:
+                return items, i + 1
+            if text[i:i + 1] != ",":
+                raise _malformed("Expecting ',' delimiter", text, i)
+            i = _skip(text, i + 1)
+    if c in _WORDS:
+        word, value = _WORDS[c]
+        if text.startswith(word, i):
+            return value, i + len(word)
+    # a number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?
+    n = len(text)
+    j = i + (c == "-")
+    if j < n and "1" <= text[j] <= "9":
+        j += 1
+        while j < n and "0" <= text[j] <= "9":
+            j += 1
+    elif text[j:j + 1] == "0":
+        j += 1
+    else:
+        raise _malformed("Expecting value", text, i)
+    is_float = False
+    if text[j:j + 1] == "." and "0" <= text[j + 1:j + 2] <= "9":
+        is_float = True
+        j += 2
+        while j < n and "0" <= text[j] <= "9":
+            j += 1
+    if text[j:j + 1] in ("e", "E"):
+        k = j + 1
+        if text[k:k + 1] in ("-", "+"):
+            k += 1
+        digits = k
+        while k < n and "0" <= text[k] <= "9":
+            k += 1
+        if k > digits:
+            is_float = True
+            j = k
+    # int() refuses more digits than Python converts, as json does
+    return (float if is_float else int)(text[i:j]), j
+
+
+def _loads(text):
+    """The value of json.loads(text), for a str ``text``; a malformed text
+    raises ValueError with json's message."""
+    if text.startswith("\ufeff"):
+        raise _malformed("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                         text, 0)
+    value, i = _read_value(text, _skip(text, 0))
+    i = _skip(text, i)
+    if i != len(text):
+        raise _malformed("Extra data", text, i)
+    return value
 
 
 # -- rendering --------------------------------------------------------------

@@ -596,14 +596,21 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
     centers) is what the miss margin actually consumes, and it needs at
     most target_dim adjoins.  Samples are Halton points in the ball of
     radius 2R, a superset of the region the degree computation touches.
+
+    A basis that spans R^target_dim is returned as it is, since every
+    distance to the whole space is 0: no sample is drawn when the
+    complement of im(l) already spans it (l = 0, say), so ``samples``
+    then sizes nothing, and no scan follows the adjoin that fills it.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= Fraction(1, 4):
         raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon}")
     basis = _coker_complement(p)
+    if len(basis) == p.target_dim:
+        return [list(b) for b in basis]
     images = [p.compact_part.evaluate_scaled(X, S) for X, S in
               _halton_ball_scaled(p.domain_dim, 2 * p.bound_radius, samples)]
-    while True:
+    while len(basis) < p.target_dim:
         rows = [_integer_row(b) for b in basis]
         # squared distances to span(basis) as integer pairs (num, den)
         worst_dist2, worst = (0, 1), None
@@ -614,10 +621,11 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
                 worst_dist2, worst = dist2, (nums, den)
         if (worst is None or worst_dist2[0] * eps.denominator ** 2
                 <= eps.numerator ** 2 * worst_dist2[1]):
-            return [list(b) for b in basis]
+            break
         nums, den = worst
         basis = _prepared_basis([list(b) for b in basis]
                                 + [[Fraction(n, den) for n in nums]])
+    return [list(b) for b in basis]
 
 
 def verify_miss_condition(p: ReductionProblem, v_basis, *,

@@ -12,8 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import swcohom
-from swcohom import lattices
-from swcohom.cli import _dumps, main
+from swcohom import cli, lattices
+from swcohom.cli import MAX_INPUT_CHARS, _dumps, _loads, main
 from swcohom.divisibility import MAX_D
 from swcohom.lattices import (
     GramMatrix,
@@ -449,6 +449,24 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
         assert message.startswith(_OPTION_MESSAGES[request.node.callspec.id])
 
 
+@pytest.mark.parametrize("subcommand", ["lattice", "reduce"])
+def test_nesting_near_the_recursion_limit_is_one_parse_error(
+        capsys, tmp_path, subcommand):
+    # every depth up to past the recursion limit is refused by the reader
+    # or by the format's check, whose message shows the nested value
+    path = tmp_path / "deep.json"
+    flag = "--gram" if subcommand == "lattice" else "--problem"
+    problem = json.dumps(dict(TRANSLATION_PROBLEM, linear_part=[]))
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 10):
+        nested = "[" * depth + "]" * depth
+        path.write_text(nested if subcommand == "lattice"
+                        else problem.replace("[]", nested))
+        status, out, err = run(capsys, subcommand, flag, str(path))
+        assert (status, out) == (2, ""), depth
+        assert json.loads(err)["error"]["code"] == "parse"
+
+
 # how each refused option is named
 _OPTION_MESSAGES = {
     "option-underscore": "index: bad --c2: not an integer: '1_6'",
@@ -636,6 +654,45 @@ def test_epsilon_out_of_range(capsys, tmp_path):
     assert json.loads(err)["error"]["code"] == "domain"
 
 
+def test_samples_size_only_a_net_that_is_drawn(capsys, tmp_path):
+    # with l = 0 the complement of im(l) spans the target and no net is
+    # drawn, so --samples changes nothing; with l invertible the net is
+    # drawn, and 100000 points in the ball are past the sampling budget
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(GOLDEN_PROBLEMS["complex_square_minus_one"]))
+    status, out, err = run(capsys, "reduce", "--problem", str(zero),
+                           "--samples", "100000")
+    assert (status, err) == (0, "")
+    assert run(capsys, "reduce", "--problem", str(zero),
+               "--samples", "128") == (0, out, "")
+    assert out == _golden_json("complex_square_minus_one")
+    translation = tmp_path / "translation.json"
+    translation.write_text(json.dumps(TRANSLATION_PROBLEM))
+    status, out, err = run(capsys, "reduce", "--problem", str(translation),
+                           "--samples", "100000")
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "domain", "message": "sampling budget exceeded"}
+
+
+def test_input_past_the_budget_is_one_domain_error(capsys, tmp_path,
+                                                   monkeypatch):
+    # -I_1 after 2^20 spaces is valid JSON, but longer than the budget;
+    # it is refused before the reader runs
+    path = tmp_path / "gram.json"
+    path.write_text(" " * MAX_INPUT_CHARS + "[[-1]]")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_loads", None)
+        status, out, err = run(capsys, "lattice", "--gram", str(path))
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "domain", "message": f"input budget exceeded: {path} is "
+        f"longer than {MAX_INPUT_CHARS} characters"}
+    # a file of exactly the budget is read
+    path.write_text(" " * (MAX_INPUT_CHARS - 6) + "[[-1]]")
+    assert run_json(capsys, "lattice", "--gram", str(path))["admissible"]
+
+
 # every subcommand and its options, as the usage must show them
 _OPTIONS = {
     "index": ["--c2", "--sigma"],
@@ -723,6 +780,66 @@ def test_writer_refuses_what_reports_do_not_hold(value):
         _dumps(value)
 
 
+# JSON values, with ints past 64 bits, every float, -0.0, NaN and the
+# infinities, and text with lone surrogates, which st.text() never draws
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 64, 2 ** 64) | st.floats()
+    | st.text(st.characters(blacklist_categories=())),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner))
+# what an edit puts in: whitespace, structure, escapes, number characters,
+# letters of the words, the solidus, a BOM and NUL
+_EDIT_CHARACTERS = (" \t\n\r" + '[]{},:"' + "\\" + "-+.eE" + "0123456789"
+                    + "abflnrstuINyxz" + "/\ufeff\x00")
+
+
+@st.composite
+def json_texts(draw):
+    # json.dumps of a value nested at most 50 deep, then 1-3 character
+    # edits (insertions, deletions, replacements) on some of them
+    value = draw(JSON_VALUES)
+    for kind in draw(st.lists(st.sampled_from("[{"), max_size=40)):
+        value = [value] if kind == "[" else {draw(st.text(max_size=2)): value}
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 1])))
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARACTERS))
+        text = text[:i] + c + text[i + (edit != "insert"):]
+    return text
+
+
+def _read(loads, text):
+    # the repr of the value, which tells -0.0 from 0.0 and shows key
+    # order, or the kind of error
+    try:
+        return repr(loads(text))
+    except RecursionError:
+        return RecursionError
+    except ValueError:
+        return ValueError
+
+
+@given(json_texts())
+@example("")
+@example("-")
+@example("01")
+@example("1.")
+@example(".5")
+@example("[1,]")
+@example('{"a":1,}')
+@example('"\\ud800\\udc00"')
+@example('"\\ud800"')
+@example("\ufeff[1]")
+@example('{"a":1,"b":2,"a":3}')
+@example("1" * 5000)
+def test_reader_is_json_loads(text):
+    # the values json.loads gives, and its refusals; a 5000-digit integer
+    # is past the digit limit of integer text, so both refuse it
+    assert _read(_loads, text) == _read(json.loads, text)
+
+
+
 def test_module_invocation_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "swcohom.cli", "chamber",
@@ -745,12 +862,10 @@ _RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
 _RUN_DOMAIN_ERROR = _RUN.replace("status == 0", "status == 1")
 _SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
 # the command line is read without argparse, and so without gettext and
-# locale, which argparse loads
-_PARSER = {"argparse", "gettext", "locale"}
-# reports are written without json; only lattice and reduce read JSON
-_REPORT_ONLY = _PARSER | {"json"}
+# locale, which argparse loads, and input files and reports without json
+_PARSER = {"argparse", "gettext", "locale", "json"}
 # a(p, l) are integer pairs, and fractions loads decimal and numbers
-_DIVISIBILITY_ABSENT = _REPORT_ONLY | {
+_DIVISIBILITY_ABSENT = _PARSER | {
     "fractions", "decimal", "numbers", "swcohom.series",
     "swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
 
@@ -758,13 +873,14 @@ _DIVISIBILITY_ABSENT = _REPORT_ONLY | {
 @pytest.mark.parametrize("statement, argv, absent", [
     ("import swcohom", [], _SUBMODULES),
     ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"}),
+    # the reader compiles no regular expression
     (_RUN, ["lattice", "--gram", "{gram}"],
-     _PARSER | {"fractions", "decimal"} | {f"swcohom.{m}" for m in (
+     _PARSER | {"fractions", "decimal", "re"} | {f"swcohom.{m}" for m in (
          "reduction", "degree", "linalg", "series", "divisibility",
          "chamber", "chern")}),
     (_RUN, ["index", "--c2", "40", "--sigma", "0"],
-     _REPORT_ONLY | {"fractions"}),
-    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _REPORT_ONLY | {"fractions"}),
+     _PARSER | {"fractions"}),
+    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | {"fractions"}),
     (_RUN, ["hurewicz", "--d", "6"], _DIVISIBILITY_ABSENT),
     (_RUN, ["bound", "--d", "300", "--k", "114"], _DIVISIBILITY_ABSENT),
     (_RUN, ["sharpscan", "--dmin", "2", "--dmax", "300"],
@@ -772,7 +888,7 @@ _DIVISIBILITY_ABSENT = _REPORT_ONLY | {
     (_RUN_DOMAIN_ERROR, ["bound", "--d", "2", "--k", "4"],
      _DIVISIBILITY_ABSENT),
     (_RUN, ["chamber", "--n", "3", "--angles", "1/3,3/2"],
-     _REPORT_ONLY | {f"swcohom.{m}" for m in (
+     _PARSER | {f"swcohom.{m}" for m in (
          "lattices", "reduction", "degree", "divisibility", "series")}),
     (_RUN, ["reduce", "--problem", "{problem}"],
      _PARSER | {f"swcohom.{m}" for m in (

@@ -365,6 +365,44 @@ def test_choose_includes_cokernel_complement():
     assert in_span(V, [0, 1])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_no_net_is_drawn_when_the_complement_spans(monkeypatch, dim):
+    # l = 0: the complement of im(l) is the whole target, at distance 0
+    # from every value of c, so no sample is drawn
+    p = zero_linear_problem(random.Random(dim), dim, 2)
+
+    def no_net(*args, **kwargs):
+        raise AssertionError("a net was drawn")
+
+    monkeypatch.setattr(reduction, "_halton_ball_scaled", no_net)
+    V = choose_reduction_subspace(p, samples=10 ** 6)
+    assert V == [list(b) for b in reduction._coker_complement(p)]
+    assert len(V) == dim
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (3, 2), (2, 1)])
+def test_net_scans_once_per_adjoin(monkeypatch, dim, seed):
+    # each scan reads the distance of every sample to span(V); a scan
+    # that ends within epsilon stops the net, and so does an adjoin that
+    # fills the target, with no scan after it
+    p, _ = random_problem(random.Random(seed), dim)
+    calls = []
+    residual2 = reduction._residual2
+
+    def counted(rows, y):
+        calls.append(len(rows))
+        return residual2(rows, y)
+
+    monkeypatch.setattr(reduction, "_residual2", counted)
+    V = choose_reduction_subspace(p, samples=128)
+    # scan k reads span(V) with k vectors, once per sample
+    assert calls[::128] == list(range(len(calls) // 128))
+    scans = len(V) + (len(V) < dim)
+    assert len(calls) == 128 * scans
+    # the first two fill the target, the third stops within epsilon
+    assert (len(V) == dim) == (seed != 1)
+
+
 def test_choose_epsilon_range():
     p = identity_problem(2, builtin_compact("zero", 2), 2)
     with pytest.raises(ValueError):
