@@ -18,11 +18,12 @@ _EXPORTS = {name: module for module, names in (
                "minimal_integral_multiplier", "one_minus_exp")),
     ("degree", ("brouwer_degree",)),
     ("divisibility", ("DivisibilityReport", "hurewicz_cokernel_order",
-                      "hurewicz_kernel_order", "k_from_bplus",
-                      "sharpness_scan", "sw_divisibility_lower_bound")),
+                      "hurewicz_kernel_order", "sharpness_scan",
+                      "sw_divisibility_lower_bound")),
     ("fourmanifold", ("DonaldsonVerdict", "FourManifoldData",
                       "dirac_index_d", "divisibility_constraint",
-                      "donaldson_k", "expected_moduli_dimension")),
+                      "donaldson_k", "expected_moduli_dimension",
+                      "k_from_bplus")),
     ("lattices", ("AdmissibilityVerdict", "GramMatrix", "LatticeVector",
                   "ValidationResult", "diagonal_witness",
                   "donaldson_admissible", "e8_gram",

@@ -606,18 +606,14 @@ def _usage(name=None):
 def _option_value(name, flag, kind, text):
     if isinstance(kind, str):
         return text
-    # the numerator rule of parse_rational: ASCII -?[0-9]+, and on an
-    # ASCII string isdigit() holds for 0-9 only
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
+    from .rational import _integer
+    try:
+        value = _integer(text)
+    except ValueError as exc:
+        raise CLIError(2, "parse", f"{name}: bad {flag}: {exc}") from exc
+    if value is None:
         raise CLIError(2, "parse",
                        f"{name}: bad {flag}: not an integer: {text!r}")
-    try:
-        value = int(text)
-    except ValueError as exc:
-        # more digits than Python converts from text
-        raise CLIError(2, "parse", f"{name}: bad {flag}: an integer of "
-                       f"{len(text)} characters is longer than Python "
-                       "converts") from exc
     if isinstance(kind, tuple) and value not in kind:
         raise CLIError(2, "parse", f"{name}: bad {flag}: {value} is not one "
                        f"of {', '.join(map(str, kind))}")

@@ -34,7 +34,6 @@ __all__ = [
     "sw_divisibility_lower_bound",
     "hurewicz_kernel_order",
     "hurewicz_cokernel_order",
-    "k_from_bplus",
     "sharpness_scan",
 ]
 
@@ -182,20 +181,6 @@ def sw_divisibility_lower_bound(d: int, k: int) -> DivisibilityReport:
         raise ValueError(f"no positive p for d={d}, k={k} (p = d-1-k/2 = {p})")
     _check_budget(d)
     return _report(d, k, _taylor_pairs(p, kappa))
-
-
-def k_from_bplus(d: int, b_plus: int) -> int:
-    """Degree k = 2d - 2p - 2 = 2d - b_plus - 1 probed by a four-manifold
-    with first Betti number 0 and the given odd b_plus = 2p + 1 >= 3:
-    expected_moduli_dimension, refused when negative.
-    """
-    # imported here: bound, hurewicz and sharpscan never get here, and
-    # the four-manifold records cost about 1 ms to build
-    from .fourmanifold import expected_moduli_dimension
-    k = expected_moduli_dimension(d, b_plus)
-    if k < 0:
-        raise ValueError(f"negative degree k={k} for d={d}, b_plus={b_plus}")
-    return k
 
 
 def sharpness_scan(d_min: int, d_max: int) -> list[DivisibilityReport]:

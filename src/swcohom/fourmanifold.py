@@ -18,6 +18,7 @@ __all__ = [
     "DonaldsonVerdict",
     "dirac_index_d",
     "expected_moduli_dimension",
+    "k_from_bplus",
     "divisibility_constraint",
     "donaldson_k",
 ]
@@ -69,6 +70,17 @@ def expected_moduli_dimension(d: int, b_plus: int) -> int:
     return 2 * d - b_plus - 1
 
 
+def k_from_bplus(d: int, b_plus: int) -> int:
+    """Degree k = 2d - 2p - 2 = 2d - b_plus - 1 probed by a four-manifold
+    with first Betti number 0 and the given odd b_plus = 2p + 1 >= 3:
+    expected_moduli_dimension, refused when negative.
+    """
+    k = expected_moduli_dimension(d, b_plus)
+    if k < 0:
+        raise ValueError(f"negative degree k={k} for d={d}, b_plus={b_plus}")
+    return k
+
+
 def divisibility_constraint(m: FourManifoldData):
     """The DivisibilityReport of the bound that applies to the integer
     Seiberg-Witten invariant of a manifold with this data: the invariant
@@ -80,7 +92,7 @@ def divisibility_constraint(m: FourManifoldData):
     """
     # imported here: the other functions are integer bookkeeping, and
     # the divisibility layer brings in Fraction arithmetic
-    from .divisibility import k_from_bplus, sw_divisibility_lower_bound
+    from .divisibility import sw_divisibility_lower_bound
     if m.b1 != 0:
         raise ValueError(f"constraint requires b1 = 0, got b1 = {m.b1}")
     if m.b_plus <= 1 or m.b_plus % 2 == 0:

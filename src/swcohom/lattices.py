@@ -5,9 +5,13 @@ The admissibility question: does every characteristic vector c satisfy
 intersection pairing of a closed oriented smooth 4-manifold; -E8 is the
 standard inadmissible example, diag(-1,...,-1) the admissible one.
 
-Characteristic vectors form a single coset c0 + 2L.  Every search is one
-walk in integers, on the fraction-free Bareiss rows U_k of A = -G that
-validation computes, in reversed coordinates.  With the leading minors
+Characteristic vectors form a single coset c0 + 2L.  One elimination
+serves every question: the fraction-free Bareiss rows U_k of A = -G,
+in reversed coordinates, with -diag(G) carried as one more column.
+Their diagonal decides validity, back substitution in them solves
+G x = diag(G) in integers (exactly, since det(-G) = 1), and x mod 2 is
+c0, the one characteristic vector with coordinates 0 and 1.  Every
+search is one walk in integers on the same rows.  With the leading minors
 d_k = U_kk (d_{-1} = 1) they split the form as
 x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
 fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
@@ -102,14 +106,17 @@ MAX_RANK = 64
 
 
 def _bareiss(a) -> list[list[int]]:
-    """Fraction-free echelon rows of an integer matrix, by Bareiss
-    elimination without pivoting (E. Bareiss, Math. Comp. 22, 1968).
+    """Fraction-free echelon rows of an integer matrix of n rows and at
+    least n columns, by Bareiss elimination without pivoting (E. Bareiss,
+    Math. Comp. 22, 1968).
 
     Row k is the pivot row at step k: zero before column k, and its
     diagonal entry is the leading principal minor det(a[:k+1][:k+1]).
-    A zero pivot stops the elimination, and the rows up to and including
-    it are returned; fine for definiteness checks, where a zero minor
-    already decides.
+    Every column past the pivot is carried, so columns after the n-th
+    hold the right-hand sides of the same elimination.  A zero pivot
+    stops the elimination, and the rows up to and including it are
+    returned; fine for definiteness checks, where a zero minor already
+    decides.
     """
     n = len(a)
     m = [list(row) for row in a]
@@ -119,46 +126,19 @@ def _bareiss(a) -> list[list[int]]:
         if pivot == 0:
             return m[:k + 1]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
     return m
 
 
-def _solve_mod2(a, b):
-    """One solution of a x = b over GF(2), or None if inconsistent.
-
-    Input entries are integers taken mod 2; free variables are set to 0.
-    """
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    m = [[x & 1 for x in row] + [bi & 1] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                m[i] = [(x + y) & 1 for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if m[i][n_cols]:
-            return None
-    x = [0] * n_cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][n_cols]
-    return x
-
-
 def _eliminate(g: GramMatrix):
     """(failure, rows): the first check g fails, or None, and the Bareiss
     rows of -G in reversed coordinates (None when g is not symmetric);
-    by Sylvester's criterion the order does not change the verdict.
+    by Sylvester's criterion the order does not change the verdict.  Each
+    row ends with one more column, -diag(G) eliminated alongside, the
+    right-hand side _characteristic solves for.
     """
     if g.n > MAX_RANK:
         raise ArithmeticError(
@@ -168,12 +148,14 @@ def _eliminate(g: GramMatrix):
         for j in range(i):
             if e[i][j] != e[j][i]:
                 return "not symmetric", None
-    rows = _bareiss([[-x for x in reversed(row)] for row in reversed(e)])
+    rows = _bareiss([[-x for x in reversed(e[i])] + [-e[i][i]]
+                     for i in reversed(range(g.n))])
     if len(rows) < g.n or any(row[k] <= 0 for k, row in enumerate(rows)):
         return "not negative definite", rows
     # det(-G) = last minor; |det G| = |det(-G)|
-    if rows[-1][-1] != 1:
-        return f"not unimodular (|det| = {rows[-1][-1]})", rows
+    det = rows[-1][g.n - 1]
+    if det != 1:
+        return f"not unimodular (|det| = {det})", rows
     return None, rows
 
 
@@ -207,21 +189,28 @@ def is_characteristic(g: GramMatrix, c: LatticeVector) -> bool:
     return True
 
 
-def _characteristic(g: GramMatrix):
-    # find_characteristic's coordinates, for a g already validated
-    x = _solve_mod2(g.entries, [g.entries[i][i] for i in range(g.n)])
-    assert x is not None and is_characteristic(g, LatticeVector(x))
+def _characteristic(g: GramMatrix, rows):
+    # find_characteristic's coordinates, from the Bareiss rows of a valid
+    # g: the integer solution of G x = diag(G), back-substituted with
+    # exact quotients since det(-G) = 1, taken mod 2
+    n = g.n
+    y = [0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        y[k] = (row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
+    x = [yk % 2 for yk in reversed(y)]
+    assert is_characteristic(g, LatticeVector(x))
     return x
 
 
 def find_characteristic(g: GramMatrix) -> LatticeVector:
-    """Some characteristic vector, from solving G c = diag(G) over GF(2).
+    """The characteristic vector with every coordinate 0 or 1.
 
-    Unimodularity makes G invertible mod 2, so a solution always exists
-    for a valid Gram matrix.
+    G c = diag(G) has one integer solution, since det G = +-1, and it is
+    characteristic; mod 2 it is the only solution, since G is invertible
+    mod 2, so taking it mod 2 gives the one 0/1 vector of the coset.
     """
-    _require_valid(g)
-    return LatticeVector(_characteristic(g))
+    return LatticeVector(_characteristic(g, _require_valid(g)))
 
 
 def _short_vectors(rows, bound: int, residue, step: int):
@@ -318,7 +307,7 @@ def _verdict(g: GramMatrix, rows) -> AdmissibilityVerdict:
     basis = _unit_basis(rows)
     if basis is not None:
         return AdmissibilityVerdict(True, g.n, None, basis)
-    c0 = _characteristic(g)
+    c0 = _characteristic(g, rows)
     # Elkies: the bound n - 8 always holds a vector
     norm, witness = next(chain.from_iterable(
         _short_vectors(rows, b, c0, 2) for b in range(g.n % 8, g.n - 7, 8)))

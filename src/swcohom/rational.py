@@ -21,20 +21,36 @@ def parse_rational(text: str):
     denominator: no sign on the denominator, no "+", no spaces, no
     underscores and no other digits.  Raises TypeError when ``text`` is
     not a str (a JSON number, say), and ValueError on anything else that
-    does not match, float-looking strings included.
+    does not match, float-looking strings included, and on a numerator or
+    denominator longer than Python converts from text.
     """
     from fractions import Fraction
     if not isinstance(text, str):
         raise TypeError(
             f"expected a \"num/den\" string, got {type(text).__name__} {text!r}")
     num, slash, den = text.partition("/")
-    # on an ASCII string isdigit() holds for 0-9 only
-    if not (text.isascii() and num.removeprefix("-").isdigit()
-            and (den.isdigit() or not slash)):
+    numerator = _integer(num)
+    denominator = _integer(den, signed=False) if slash else 1
+    if numerator is None or denominator is None:
         raise ValueError(f"not an exact rational \"num/den\": {text!r}")
-    if slash and int(den) == 0:
+    if denominator == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(numerator, denominator)
+
+
+def _integer(text: str, signed: bool = True):
+    # the one rule of integer text, ASCII -?[0-9]+ (no sign unless
+    # signed): its int, or None off the rule; on an ASCII string
+    # isdigit() holds for 0-9 only
+    if not (text.isascii()
+            and (text.removeprefix("-") if signed else text).isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:
+        # more digits than Python converts from text
+        raise ValueError(f"an integer of {len(text)} characters is longer "
+                         "than Python converts") from exc
 
 
 def format_rational(q) -> str:

@@ -410,7 +410,9 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     inverses of i = q b + r come from that of q < i, num(i) = r den(q) +
     num(q) and den(i) = b den(q), and the ball test reads the unit-cube
     integers U, s of x = w U / s with the constant factors hoisted,
-    w_num^2 r_den^2 sum_k w_k U_k^2 <= r_num^2 w_den^2 s^2.
+    w_num^2 r_den^2 sum_k w_k U_k^2 <= r_num^2 w_den^2 s^2.  Past
+    _HALTON_ATTEMPTS Halton points it stops with an ArithmeticError that
+    names the count asked and the largest count that can be drawn.
     """
     r = Fraction(radius)
     w = Fraction(half_width or r)
@@ -424,7 +426,9 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     i = 1
     while len(points) < count:
         if i > _HALTON_ATTEMPTS:
-            raise ValueError("sampling budget exceeded")
+            raise ArithmeticError(
+                f"sampling budget exceeded: {count} samples asked, and at "
+                f"most {len(points)} can be drawn")
         h = []
         for base, known in zip(bases, inverses):
             q, digit = divmod(i, base)
@@ -723,8 +727,11 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     l_uprime = [[vec_dot(list(row), w) for row in p.linear_part]
                 for w in b_uprime]
     sign = _sign(det(b_uprime + b_vprime)) * _sign(det(l_uprime + b_v))
-    if sign == 0:
-        raise ValueError("pr_U l|_U' is singular; V is not admissible")
+    # never 0: pr_U l|_U' is injective, as w in U' with pr_U l w = 0 has
+    # l w in V, so w is in V' and U' = V'-perp, w = 0; and it maps between
+    # equal dimensions, dim U' = n - dim V' = t - dim V = dim U by index 0
+    # and dim V' = dim V
+    assert sign != 0
 
     g_radius = Fraction(17, 16) * p.bound_radius
     degree = sign * brouwer_degree(rmap.g, v_dim, g_radius)

@@ -96,20 +96,15 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------
 
-    def _check_order(self, other: "TruncatedSeries"):
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} != {other.order}"
-            )
-
     def _check_operand(self, other: "TruncatedSeries"):
         # Z[xi]/(xi^d), Q[x]/(x^d) and plain series are different rings
         if type(other) is not type(self):
             raise TypeError(
                 f"expected {type(self).__name__}, got {type(other).__name__}")
-        self._check_order(other)
+        if self.order != other.order:
+            raise ValueError(
+                f"order mismatch: {self.order} != {other.order}"
+            )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_operand(other)

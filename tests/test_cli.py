@@ -378,6 +378,15 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
     (["index", "--c2=16", "--sigma", "0"], {}),
     pytest.param(["index", "--c2", "1" * 5000, "--sigma", "0"], {},
                  marks=HUGE_INT),
+    pytest.param(["reduce", "--problem", "{problem}",
+                  "--epsilon", "1" * 5000 + "/2"],
+                 {"problem": TRANSLATION_PROBLEM}, marks=HUGE_INT),
+    pytest.param(["chamber", "--n", "3", "--angles", "1" * 5000 + "/2"], {},
+                 marks=HUGE_INT),
+    pytest.param(["reduce", "--problem", "{problem}"],
+                 {"problem": dict(TRANSLATION_PROBLEM,
+                                  bound_radius="1" * 5000)},
+                 marks=HUGE_INT),
 ], ids=["chamber-zero-denominator", "epsilon-zero-denominator",
         "reduce-json-numbers", "gram-float", "gram-bool",
         "reduce-float-domain-dim", "reduce-float-target-dim",
@@ -401,7 +410,8 @@ HUGE_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
         "angles-negative-denominator", "reduce-radius-trailing-space",
         "option-underscore", "option-arabic-indic-digits", "option-spaces",
         "option-plus-sign", "option-abbreviated", "option-repeated",
-        "option-equals-form", "option-huge-integer"])
+        "option-equals-form", "option-huge-integer", "epsilon-huge-integer",
+        "chamber-huge-angle", "reduce-huge-radius"])
 def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     # zero denominators, rationals off the ASCII grammar
     # -?[0-9]+(/[0-9]+)?, JSON numbers where "num/den" strings belong,
@@ -467,7 +477,7 @@ def test_nesting_near_the_recursion_limit_is_one_parse_error(
         assert json.loads(err)["error"]["code"] == "parse"
 
 
-# how each refused option is named
+# how each refused option or input is named
 _OPTION_MESSAGES = {
     "option-underscore": "index: bad --c2: not an integer: '1_6'",
     "option-arabic-indic-digits": "index: bad --c2: not an integer: '\u0661\u0666'",
@@ -477,6 +487,10 @@ _OPTION_MESSAGES = {
     "option-repeated": "index: --c2 given twice",
     "option-equals-form": "index: unknown option '--c2=16'",
     "option-huge-integer": "index: bad --c2: an integer of 5000 characters",
+    "epsilon-huge-integer": "bad --epsilon: an integer of 5000 characters",
+    "chamber-huge-angle": "bad --angles: an integer of 5000 characters",
+    "reduce-huge-radius": "bad reduction problem: an integer of 5000 "
+    "characters",
     "usage-non-integer-option": "bound: bad --d: not an integer: 'x'",
     "usage-missing-option": "reduce: missing --problem",
     "usage-unknown-subcommand": "unknown subcommand 'frobnicate'",
@@ -657,7 +671,8 @@ def test_epsilon_out_of_range(capsys, tmp_path):
 def test_samples_size_only_a_net_that_is_drawn(capsys, tmp_path):
     # with l = 0 the complement of im(l) spans the target and no net is
     # drawn, so --samples changes nothing; with l invertible the net is
-    # drawn, and 100000 points in the ball are past the sampling budget
+    # drawn, and 100000 points in the ball are past the sampling budget,
+    # whose message names the most that can be drawn, a count that runs
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps(GOLDEN_PROBLEMS["complex_square_minus_one"]))
     status, out, err = run(capsys, "reduce", "--problem", str(zero),
@@ -672,7 +687,11 @@ def test_samples_size_only_a_net_that_is_drawn(capsys, tmp_path):
                            "--samples", "100000")
     assert (status, out) == (1, "")
     assert json.loads(err)["error"] == {
-        "code": "domain", "message": "sampling budget exceeded"}
+        "code": "domain", "message": "sampling budget exceeded: 100000 "
+        "samples asked, and at most 6435 can be drawn"}
+    status, _, err = run(capsys, "reduce", "--problem", str(translation),
+                         "--samples", "6435")
+    assert (status, err) == (0, "")
 
 
 def test_input_past_the_budget_is_one_domain_error(capsys, tmp_path,

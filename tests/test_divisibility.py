@@ -15,11 +15,10 @@ from swcohom.divisibility import (
     DivisibilityReport,
     hurewicz_cokernel_order,
     hurewicz_kernel_order,
-    k_from_bplus,
     sharpness_scan,
     sw_divisibility_lower_bound,
 )
-from swcohom.fourmanifold import expected_moduli_dimension
+from swcohom.fourmanifold import expected_moduli_dimension, k_from_bplus
 
 F = Fraction
 

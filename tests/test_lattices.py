@@ -283,12 +283,18 @@ def test_is_characteristic_examples():
 
 
 def test_find_characteristic_self_check():
+    # the coset holds one vector with every coordinate 0 or 1, since G is
+    # invertible mod 2, so these two checks pin find_characteristic exactly
     rng = random.Random(7)
-    for n in (1, 2, 3, 4):
-        for _ in range(5):
-            g = conjugate(minus_identity(n), random_unimodular(rng, n))
+    forms = ([minus_identity(n) for n in range(1, 25)] + [e8_gram()]
+             + [direct_sum(e8_gram(), minus_identity(k)) for k in range(1, 9)]
+             + [minus_d12_plus()])
+    for form in forms:
+        for _ in range(3):
+            g = conjugate(form, random_unimodular(rng, form.n))
             assert validate(g).valid
             c0 = find_characteristic(g)
+            assert set(c0.coords) <= {0, 1}
             assert is_characteristic(g, c0)
     assert find_characteristic(minus_identity(3)).coords == (1, 1, 1)
     assert find_characteristic(e8_gram()).coords == (0,) * 8
