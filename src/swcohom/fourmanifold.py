@@ -90,8 +90,8 @@ def divisibility_constraint(m: FourManifoldData):
     as an integer and the stable-homotopy comparison applies), d >= 2 and
     even k >= 0.
     """
-    # imported here: the other functions are integer bookkeeping, and
-    # the divisibility layer brings in Fraction arithmetic
+    # imported here: the index, dim and lattice subcommands run the other
+    # functions, and need no divisibility layer
     from .divisibility import sw_divisibility_lower_bound
     if m.b1 != 0:
         raise ValueError(f"constraint requires b1 = 0, got b1 = {m.b1}")

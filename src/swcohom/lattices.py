@@ -7,11 +7,12 @@ standard inadmissible example, diag(-1,...,-1) the admissible one.
 
 Characteristic vectors form a single coset c0 + 2L.  One elimination
 serves every question: the fraction-free Bareiss rows U_k of A = -G,
-in reversed coordinates, with -diag(G) carried as one more column.
-Their diagonal decides validity, back substitution in them solves
-G x = diag(G) in integers (exactly, since det(-G) = 1), and x mod 2 is
-c0, the one characteristic vector with coordinates 0 and 1.  Every
-search is one walk in integers on the same rows.  With the leading minors
+in reversed coordinates, with -diag(G) carried as one more column, by
+linalg._bareiss.  G is negative definite exactly when each row k pivots
+on column k with a positive minor (Sylvester); back substitution in the
+rows solves G x = -diag(G) in integers (exactly, since det(-G) = 1), and
+x mod 2 is c0, the one characteristic vector with coordinates 0 and 1.
+Every search is one walk in integers on the same rows.  With the leading minors
 d_k = U_kk (d_{-1} = 1) they split the form as
 x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
 fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
@@ -26,6 +27,7 @@ from collections import namedtuple
 from itertools import chain
 from math import isqrt, lcm
 
+from .linalg import _bareiss, _kernel_vector
 from .rational import _keys, _strict_int
 
 __all__ = [
@@ -105,34 +107,6 @@ MAX_NODES = 1 << 20
 MAX_RANK = 64
 
 
-def _bareiss(a) -> list[list[int]]:
-    """Fraction-free echelon rows of an integer matrix of n rows and at
-    least n columns, by Bareiss elimination without pivoting (E. Bareiss,
-    Math. Comp. 22, 1968).
-
-    Row k is the pivot row at step k: zero before column k, and its
-    diagonal entry is the leading principal minor det(a[:k+1][:k+1]).
-    Every column past the pivot is carried, so columns after the n-th
-    hold the right-hand sides of the same elimination.  A zero pivot
-    stops the elimination, and the rows up to and including it are
-    returned; fine for definiteness checks, where a zero minor already
-    decides.
-    """
-    n = len(a)
-    m = [list(row) for row in a]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0:
-            return m[:k + 1]
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[i])):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return m
-
-
 def _eliminate(g: GramMatrix):
     """(failure, rows): the first check g fails, or None, and the Bareiss
     rows of -G in reversed coordinates (None when g is not symmetric);
@@ -148,9 +122,10 @@ def _eliminate(g: GramMatrix):
         for j in range(i):
             if e[i][j] != e[j][i]:
                 return "not symmetric", None
-    rows = _bareiss([[-x for x in reversed(e[i])] + [-e[i][i]]
-                     for i in reversed(range(g.n))])
-    if len(rows) < g.n or any(row[k] <= 0 for k, row in enumerate(rows)):
+    rows, pivots = _bareiss([[-x for x in reversed(e[i])] + [-e[i][i]]
+                             for i in reversed(range(g.n))])
+    if (pivots != list(range(g.n))
+            or any(row[k] <= 0 for k, row in enumerate(rows))):
         return "not negative definite", rows
     # det(-G) = last minor; |det G| = |det(-G)|
     det = rows[-1][g.n - 1]
@@ -191,14 +166,11 @@ def is_characteristic(g: GramMatrix, c: LatticeVector) -> bool:
 
 def _characteristic(g: GramMatrix, rows):
     # find_characteristic's coordinates, from the Bareiss rows of a valid
-    # g: the integer solution of G x = diag(G), back-substituted with
-    # exact quotients since det(-G) = 1, taken mod 2
+    # g: the integer solution of G x = -diag(G), the kernel vector that
+    # is 1 at the carried column (det(-G) = 1 scales it), taken mod 2
     n = g.n
-    y = [0] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        y[k] = (row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
-    x = [yk % 2 for yk in reversed(y)]
+    y = _kernel_vector(rows, range(n), n, n + 1)
+    x = [yk % 2 for yk in reversed(y[:n])]
     assert is_characteristic(g, LatticeVector(x))
     return x
 

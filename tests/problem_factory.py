@@ -103,3 +103,79 @@ def zero_linear_problem(rng: random.Random, dim: int, m: int):
         components.append([(F(rng.choice((-1, 1))), (0, 0, 1))])
     zero = [[0] * dim for _ in range(dim)]
     return ReductionProblem(dim, dim, zero, PolynomialMap(dim, components), 2)
+
+
+def _unimodular(rng: random.Random, dim: int):
+    # three row operations row_i += c row_j and a sign: det = +-1
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    if rng.random() < 0.5:
+        rows[0] = [-a for a in rows[0]]
+    return rows
+
+
+def _ceil_frobenius(rows) -> int:
+    # the least integer k with k^2 >= |rows|_F^2
+    frob2 = sum(x * x for row in rows for x in row)
+    k = isqrt(frob2.numerator // frob2.denominator)
+    return k if k * k >= frob2 else k + 1
+
+
+def skewed_problem(rng: random.Random, dim: int, m: int, eps):
+    """f(x) = A F(B x), plus its degree, proved from the construction.
+
+    F(z, w) = (z^m - 1 + eps z, L w) on R^2 x R^(dim - 2), with z^m
+    conjugated at random; B and U are unimodular, L is a nonzero integer
+    (dim 3 only) and A = k U with the integer k >= |U^-1|_F, so that
+    |A y| >= |y|.  For 0 <= eps <= 1/4 and |z| >= 3, |z^m - 1 + eps z| >= 1,
+    and |L w| >= 1 once |w| >= |L^-1|_F; so |f(x)| >= 1 once
+    |x| >= (3 + ceil |L^-1|_F) ceil |B^-1|_F, the bound radius.  The
+    straight-line homotopy to z^m (or conj(z)^m) keeps F from 0 there,
+    so deg f = sign det A * sign det B * (+-m) * sign L.  The linear part
+    is A diag(eps, eps, L) B and the compact part A (z^m - 1, 0)(B x),
+    expanded in integers.
+    """
+    eps = F(eps)
+    b, u = _unimodular(rng, dim), _unimodular(rng, dim)
+    k = _ceil_frobenius(invert(u))
+    a = [[k * x for x in row] for row in u]
+    tail = [rng.choice((-2, -1, 1, 2)) for _ in range(dim - 2)]
+    conj = rng.random() < 0.5
+    radius = ((3 + _ceil_frobenius([[F(1, x) for x in tail]]))
+              * _ceil_frobenius(invert(b)))
+
+    # z = y0 + i s y1 for the linear polynomials y = B x, and
+    # re + i im = z^m - 1
+    unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    y = [{unit[j]: F(c) for j, c in enumerate(row) if c} for row in b]
+    s = -1 if conj else 1
+    sy1 = {e: s * c for e, c in y[1].items()}
+    minus_sy1 = {e: -c for e, c in sy1.items()}
+    re, im = {(0,) * dim: F(1)}, {}
+    for _ in range(m):
+        re, im = (_poly_add(_poly_mul(re, y[0], dim), _poly_mul(im, minus_sy1, dim)),
+                  _poly_add(_poly_mul(im, y[0], dim), _poly_mul(re, sy1, dim)))
+    re = _poly_add(re, {(0,) * dim: F(-1)})
+    components = []
+    for row in a:
+        part = _poly_add({e: row[0] * c for e, c in re.items()},
+                         {e: row[1] * c for e, c in im.items()})
+        components.append([(c, e) for e, c in part.items() if c])
+
+    # A diag(eps, eps, L) B
+    middle = [[eps * (i == j) if i < 2 else 0 for j in range(dim)]
+              for i in range(dim)]
+    for i, x in enumerate(tail):
+        middle[2 + i][2 + i] = x
+    linear = [[sum(a[i][r] * middle[r][c] * b[c][j]
+                   for r in range(dim) for c in range(dim))
+               for j in range(dim)] for i in range(dim)]
+    problem = ReductionProblem(dim, dim, linear,
+                               PolynomialMap(dim, components), radius)
+    sign = 1
+    for factor in (det(u), det(b), *tail):
+        sign *= 1 if factor > 0 else -1
+    return problem, sign * (-m if conj else m)

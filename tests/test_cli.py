@@ -127,6 +127,30 @@ def test_reduce_translation(capsys, tmp_path):
     assert doc["miss"]["ok"] is True
 
 
+# f = A F(B x) as ROADMAP item 14 builds it: F(z) = z^2 - 1 on R^2,
+# B = [[1, 0], [3, 1]] and A = 2 [[-1, 0], [1, -1]], both of determinant
+# +1, so deg f = 2; |A y| >= |y|, and |f(x)| >= 1 once
+# |x| >= 3 ceil |B^-1|_F = 12
+SKEWED_QUADRATIC = {
+    "domain_dim": 2, "target_dim": 2,
+    "linear_part": [["0", "0"], ["0", "0"]],
+    "compact_part": {"components": [
+        [["16", [2, 0]], ["12", [1, 1]], ["2", [0, 2]], ["2", [0, 0]]],
+        [["-28", [2, 0]], ["-16", [1, 1]], ["-2", [0, 2]], ["-2", [0, 0]]]]},
+    "bound_radius": "12",
+}
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 14: reduce reports degree 0, exit 0")
+def test_reduce_skewed_quadratic_has_degree_two(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(SKEWED_QUADRATIC))
+    assert path.stat().st_size == 263
+    doc = run_json(capsys, "reduce", "--problem", str(path))
+    assert doc["degree"] == 2
+
+
 def test_table_format(capsys):
     status, out, _ = run(capsys, "--format", "table",
                          "bound", "--d", "4", "--k", "4")
@@ -892,11 +916,12 @@ _DIVISIBILITY_ABSENT = _PARSER | {
 @pytest.mark.parametrize("statement, argv, absent", [
     ("import swcohom", [], _SUBMODULES),
     ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"}),
-    # the reader compiles no regular expression
+    # the reader compiles no regular expression, and linalg's elimination
+    # runs in integers
     (_RUN, ["lattice", "--gram", "{gram}"],
      _PARSER | {"fractions", "decimal", "re"} | {f"swcohom.{m}" for m in (
-         "reduction", "degree", "linalg", "series", "divisibility",
-         "chamber", "chern")}),
+         "reduction", "degree", "series", "divisibility", "chamber",
+         "chern")}),
     (_RUN, ["index", "--c2", "40", "--sigma", "0"],
      _PARSER | {"fractions"}),
     (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | {"fractions"}),

@@ -203,6 +203,12 @@ def test_validate_verdicts():
     r = validate(GramMatrix([[-1, 1], [0, -1]]))
     assert not r.valid and "symmetric" in r.failure
     assert validate(e8_gram()).valid
+    # unimodular forms with a zero leading minor: an elimination that
+    # exchanged rows would find a nonzero pivot and go on
+    for entries in ([[0, 1], [1, 0]],
+                    [[-1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                    [[0, 1, 0], [1, 0, 0], [0, 0, -1]]):
+        assert validate(GramMatrix(entries)).failure == "not negative definite"
 
 
 def test_gram_shape_errors():

@@ -6,7 +6,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from problem_factory import random_problem, zero_linear_problem
+from problem_factory import random_problem, skewed_problem, zero_linear_problem
 from swcohom import reduction
 from swcohom.reduction import (
     _HALTON_BASES,
@@ -643,6 +643,51 @@ def test_stability_on_random_problems():
             verdict = stability_check(p, V, full)
             assert verdict.equal
             assert verdict.degree_large == expected
+
+
+# -- problems of known degree where the degree and the reduction matter ------------
+
+SKEWED_SEED = 3
+# (dim, m, quarters, i) -> what reduce gives today with eps = quarters/4:
+# a wrong degree, reported as a normal answer, or the refusal; the degree
+# and miss certificates of ROADMAP items 2 and 3 are to flip these
+SKEWED_TODAY = {
+    (2, 2, 0, 0): 0, (2, 2, 0, 1): 0, (2, 2, 0, 2): 0,
+    (2, 3, 0, 0): -1, (2, 3, 0, 1): -1, (2, 3, 0, 2): -1,
+    (2, 4, 0, 0): 0, (2, 4, 0, 2): 2,
+    (2, 3, 1, 0): 1, (2, 3, 1, 1): 1, (2, 3, 1, 2): 1,
+    (2, 4, 1, 0): 0, (2, 4, 1, 1): 2, (2, 4, 1, 2): 2,
+    (3, 3, 0, 0): -1, (3, 3, 0, 1): "boundary image passes through 0",
+    (3, 3, 0, 2): 1, (3, 4, 0, 1): 0, (3, 4, 0, 2): -2,
+    (3, 2, 1, 1): 0, (3, 3, 1, 0): 1, (3, 3, 1, 1): -1,
+    (3, 4, 1, 0): -2, (3, 4, 1, 1): 0, (3, 4, 1, 2): -2,
+}
+
+
+def skewed_row(dim, m, quarters, i):
+    today = SKEWED_TODAY.get((dim, m, quarters, i))
+    if today is None:
+        return pytest.param(dim, m, quarters, i)
+    if isinstance(today, int):
+        mark = pytest.mark.xfail(raises=AssertionError, strict=True,
+                                 reason=f"ROADMAP item 14: reduce gives {today}")
+    else:
+        mark = pytest.mark.xfail(raises=ArithmeticError, strict=True,
+                                 reason=f"ROADMAP item 14: refused, {today}")
+    return pytest.param(dim, m, quarters, i, marks=mark)
+
+
+@pytest.mark.parametrize("dim, m, quarters, i", [
+    skewed_row(dim, m, quarters, i)
+    for dim in (2, 3) for quarters in (0, 1) for m in (1, 2, 3, 4)
+    for i in range(3)])
+def test_skewed_problems_of_known_degree(dim, m, quarters, i):
+    # the expected degree comes from the construction, never from reduce;
+    # with eps = 1/4, l is invertible and V comes from the net alone
+    eps = F(quarters, 4)
+    rng = random.Random(f"{SKEWED_SEED}:{dim}:{m}:{eps}:{i}")
+    p, expected = skewed_problem(rng, dim, m, eps)
+    assert reduce_and_degree(p, choose_reduction_subspace(p)).degree == expected
 
 
 # -- the properness demo ------------------------------------------------------------
