@@ -29,7 +29,9 @@ def main():
         builtin_compact("constant", 2, {"vector": [1, 0]}), 2,
     )
     v = choose_reduction_subspace(p)
-    print(f"chosen V has dimension {len(v)}: {[[str(x) for x in b] for b in v]}")
+    # each entry of V is a (numerator, denominator) pair
+    shown = [[str(Fraction(*x)) for x in b] for b in v]
+    print(f"chosen V has dimension {len(v)}: {shown}")
     miss = verify_miss_condition(p, v)
     print(f"miss condition holds on {miss.samples_checked} sampled points: {miss.ok}")
     r = reduce_and_degree(p, v)

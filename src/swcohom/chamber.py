@@ -18,8 +18,6 @@ Convention: increasing angle crosses positively, and the first-half
 chamber (angles in (0, pi)) receives the larger count n + 1.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import floor

@@ -17,8 +17,6 @@ Both rings are truncated series: KClass and HClass are TruncatedSeries
 with d = order, and KClass admits integer coefficients only.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial, lcm
 

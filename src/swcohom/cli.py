@@ -63,11 +63,12 @@ def _decode(path, from_json, what):
 
 def _rational_option(flag, text):
     # a rational option reaches its handler as a string and is parsed
-    # there, so that only the subcommands that read one import fractions;
-    # the error keeps the reason parse_rational gives
-    from .rational import parse_rational
+    # there into a (numerator, denominator) pair, so that no subcommand
+    # imports fractions to read one; the error keeps the reason
+    # parse_rational gives
+    from .rational import _parse_pair
     try:
-        return parse_rational(text)
+        return _parse_pair(text)
     except ValueError as exc:
         raise CLIError(2, "parse", f"bad {flag}: {exc}") from exc
 
@@ -192,7 +193,7 @@ def _run_lattice(args):
 
 
 def _run_reduce(args):
-    from .rational import format_rational
+    from .rational import _format_pair
     from .reduction import (
         ReductionProblem,
         choose_reduction_subspace,
@@ -211,15 +212,15 @@ def _run_reduce(args):
         "domain_dim": p.domain_dim,
         "target_dim": p.target_dim,
         "index": p.index(),
-        "epsilon": format_rational(epsilon),
+        "epsilon": _format_pair(*epsilon),
         "reduced_dim": report.reduced_dim,
         "subspace_V": [
-            [format_rational(x) for x in v] for v in report.subspace_V
+            [_format_pair(*x) for x in v] for v in report.subspace_V
         ],
         "miss": {
             "ok": miss.ok,
-            "worst_distance_squared": format_rational(
-                miss.worst_distance_squared),
+            "worst_distance_squared": _format_pair(
+                *miss.worst_distance_squared),
             "samples_checked": miss.samples_checked,
         },
         "degree": report.degree,
@@ -227,9 +228,11 @@ def _run_reduce(args):
 
 
 def _run_chamber(args):
+    from fractions import Fraction
+
     from .chamber import make_path, signed_preimage_count, wall_crossing_jump
     from .rational import format_rational
-    angles = [_rational_option("--angles", part)
+    angles = [Fraction(*_rational_option("--angles", part))
               for part in args.angles.split(",")]
     path = make_path(args.n)
     counts = []

@@ -29,12 +29,9 @@ and the circumscribing polytope boundary (automatic in the common case
 of zeros well inside the ball).
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from itertools import combinations
 
-from .rational import format_rational
+from .rational import _format_pair, _lowest, _pair
 
 __all__ = ["brouwer_degree"]
 
@@ -54,14 +51,15 @@ def _evaluate(g, X, S):
     the ray of the image, so every sign the degree count reads is kept."""
     image = g(X, S)[0]
     if not any(image):
-        coords = ", ".join(format_rational(Fraction(x, S)) for x in X)
+        coords = ", ".join(_format_pair(*_lowest(x, S)) for x in X)
         raise ValueError(f"map vanishes on the boundary at ({coords})")
     return image
 
 
-def _degree_dim1(g, radius: Fraction) -> int:
-    left = _evaluate(g, [-radius.numerator], radius.denominator)[0]
-    right = _evaluate(g, [radius.numerator], radius.denominator)[0]
+def _degree_dim1(g, radius) -> int:
+    num, den = radius
+    left = _evaluate(g, [-num], den)[0]
+    right = _evaluate(g, [num], den)[0]
     sign = lambda v: (v > 0) - (v < 0)
     return (sign(right) - sign(left)) // 2
 
@@ -116,18 +114,18 @@ def _budget_exceeded():
     )
 
 
-def _refined(g, cells, unit: Fraction):
+def _refined(g, cells, unit):
     """Accepted cells of the adaptive split, the image of every vertex
     the split evaluated, and the midpoint of every split edge.
 
     Cells are segments or triangles of integer vertices P, and g is
-    evaluated at P * unit as (P num, den) for unit = num/den.  A cell is
-    accepted when the images of the two ends of each of its edges have a
-    positive dot product, and split in two or in four otherwise.  The
-    split is depth first, within MAX_CELLS cells and MAX_DEPTH splits of
-    any one cell.
+    evaluated at P * unit as (P num, den) for the pair unit = (num, den).
+    A cell is accepted when the images of the two ends of each of its
+    edges have a positive dot product, and split in two or in four
+    otherwise.  The split is depth first, within MAX_CELLS cells and
+    MAX_DEPTH splits of any one cell.
     """
-    num, den = unit.numerator, unit.denominator
+    num, den = unit
     cache = {}
     midpoints = {}
 
@@ -270,20 +268,24 @@ def brouwer_degree(g, dim: int, radius) -> int:
     dim-3 surface is closed at its hanging vertices, and the degree is
     the signed count of image cells met by a ray from 0.  All are exact
     integer counts; the boundary between samples is not certified.
+    The radius is exact: an int, a Fraction or a (numerator, denominator)
+    pair, and a float, a string or a bool raises TypeError.
     """
-    r = Fraction(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    num, den = _pair(radius, "radius")
+    if num <= 0:
+        raise ValueError(
+            f"radius must be positive, got {_format_pair(num, den)}")
     if dim == 1:
-        return _degree_dim1(g, r)
+        return _degree_dim1(g, (num, den))
     if dim == 2:
-        cells, side = _square_segments(), r
+        cells = _square_segments()
     elif dim == 3:
         # octahedron of L1-radius 7r/4 circumscribes the Euclidean r-ball
-        cells, side = _octahedron_faces(), 7 * r / 4
+        cells, num, den = _octahedron_faces(), 7 * num, 4 * den
     else:
         raise ValueError(f"degree computation supports dim 1..3, got {dim}")
-    accepted, cache, midpoints = _refined(g, cells, side / (1 << MAX_DEPTH))
+    unit = _lowest(num, den << MAX_DEPTH)
+    accepted, cache, midpoints = _refined(g, cells, unit)
     if dim == 3:
         accepted = _closed_surface(accepted, midpoints)
     return _ray_count([tuple(cache[p] for p in cell) for cell in accepted])

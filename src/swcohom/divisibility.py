@@ -22,8 +22,6 @@ terms; ``series.taylor_coefficients_a`` is a Fraction view of it, and
 the module itself loads no ``fractions``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd, lcm
 

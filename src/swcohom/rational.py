@@ -3,13 +3,20 @@
 The wire format everywhere in this package is exact: a rational is the
 ASCII string "num/den", with "/den" omitted when the denominator is 1.
 No floating-point parsing anywhere, and a rational given in Python is
-an int or a Fraction, never a float or a string.  An integer is an
-int, and an object holds the keys of its format, no other.
+an int or a Fraction (or, where _pair reads it, a pair of ints), never
+a float or a string.  An integer is an int, and an object holds the
+keys of its format, no other.
 
-Importing this module loads no ``fractions``: only the functions that
-build a Fraction import it, so a job that formats integer pairs alone
-never pays for it.
+Inside the package a rational is often a pair (numerator, denominator)
+of ints in lowest terms with a positive denominator, the form a
+Fraction carries.  Importing this module loads no ``fractions``: only
+the functions that build a Fraction import it, and _pair tells a
+Fraction by the class of the loaded module, so a job that computes in
+pairs alone never pays for it.
 """
+
+import sys
+from math import gcd
 
 __all__ = ["parse_rational", "format_rational"]
 
@@ -24,7 +31,13 @@ def parse_rational(text: str):
     does not match, float-looking strings included, and on a numerator or
     denominator longer than Python converts from text.
     """
+    numerator, denominator = _parse_pair(text)
     from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
+def _parse_pair(text: str):
+    # the pair parse_rational reads, with its grammar and its messages
     if not isinstance(text, str):
         raise TypeError(
             f"expected a \"num/den\" string, got {type(text).__name__} {text!r}")
@@ -35,7 +48,7 @@ def parse_rational(text: str):
         raise ValueError(f"not an exact rational \"num/den\": {text!r}")
     if denominator == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(numerator, denominator)
+    return _lowest(numerator, denominator)
 
 
 def _integer(text: str, signed: bool = True):
@@ -71,14 +84,47 @@ def _format_pair(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator}"
 
 
-def _exact(x, what):
+def _lowest(numerator: int, denominator: int):
+    # num/den as a pair in lowest terms with a positive denominator
+    g = gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    return numerator // g, denominator // g
+
+
+def _not_exact(x, what):
     # a float or a string would stand for some other rational, so a value
     # given in Python is an int or a Fraction, as JSON input is once parsed
+    return TypeError(
+        f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
+def _exact(x, what):
     from fractions import Fraction
     if type(x) not in (int, Fraction):
-        raise TypeError(
-            f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+        raise _not_exact(x, what)
     return Fraction(x)
+
+
+def _pair(x, what):
+    """An int, a Fraction or a pair of ints with a nonzero denominator,
+    as a pair in lowest terms with a positive denominator.
+
+    A Fraction is told by the class of the loaded ``fractions`` module:
+    with that module not loaded, nothing is a Fraction, and nothing is
+    imported here.
+    """
+    kind = type(x)
+    if kind is int:
+        return x, 1
+    if kind is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
+        if not x[1]:
+            raise ZeroDivisionError(f"{what} has a zero denominator: {x!r}")
+        return _lowest(*x)
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and kind is fractions.Fraction:
+        return x.numerator, x.denominator
+    raise _not_exact(x, what)
 
 
 def _strict_int(x, what):

@@ -9,7 +9,11 @@ orientation correction from the complementary linear part.  This module
 executes that construction in ambient dimension at most 4, reduced
 dimension at most 3, entirely in exact rational arithmetic.
 
-Bases are handled as lists of vectors (lists of Fractions).  The bases
+Every rational is a pair (numerator, denominator) of ints in lowest
+terms with a positive denominator, and every number given in Python is
+an int, a Fraction or such a pair, read by rational._pair; no Fraction
+is built but by ReductionProblem.f and proper_not_bounded_demo.  Bases
+are handled as lists of vectors (lists of pairs).  The bases
 of V (printed in the report) and of V' = l^-1(V) (the miss check samples
 in its coordinates) are orthogonalized and rescaled so each vector has
 squared length within [8/9, 9/8]; the scale factor is found with one
@@ -28,23 +32,13 @@ and |pr_perp y|^2, and the degree, which takes the V coordinates, so
 `reduce` checks the miss condition once.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .degree import brouwer_degree
-from .linalg import (
-    det,
-    gram_schmidt,
-    nullspace,
-    transpose,
-    vec_dot,
-    vec_scale,
-)
-from .rational import (_exact, _expect, _keys, _strict_int, format_rational,
-                       parse_rational)
+from .linalg import det, nullspace, transpose
+from .rational import (_expect, _format_pair, _keys, _lowest, _pair,
+                       _parse_pair, _strict_int)
 
 __all__ = [
     "PolynomialMap",
@@ -66,11 +60,19 @@ __all__ = [
 # -- compact part evaluators ---------------------------------------------
 
 
+def _integer_rows(vectors):
+    # rows over the least common denominator d of all their entries; d > 0
+    # scales every row alike, so the rows have the vectors' kernel and,
+    # square, the sign of their det
+    d = math.lcm(*(den for v in vectors for _, den in v))
+    return [[num * (d // den) for num, den in v] for v in vectors], d
+
+
 def _over_common_denominator(x):
-    # x = X / S with integer X and the least common denominator S
-    x = [Fraction(v) for v in x]
-    s = math.lcm(*(v.denominator for v in x))
-    return [v.numerator * (s // v.denominator) for v in x], s
+    # x = X / S with integer X and the least common denominator S, for
+    # coordinates given as _pair reads them
+    (row,), s = _integer_rows([[_pair(v, "a coordinate") for v in x]])
+    return row, s
 
 
 def _int_dot(u, v):
@@ -81,14 +83,16 @@ class PolynomialMap:
     """Exact polynomial map Q^m -> Q^k.
 
     components[j] is a list of (coefficient, exponent tuple) terms; the
-    j-th output is the sum of coeff * prod(x_i ** e_i).  Evaluation runs
-    in integers through evaluate_scaled.
+    j-th output is the sum of coeff * prod(x_i ** e_i).  A coefficient
+    is given as an int, a Fraction or a pair and kept as a pair
+    (numerator, denominator) in lowest terms.  Evaluation runs in
+    integers through evaluate_scaled.
     """
 
     def __init__(self, input_dim, components):
         self.input_dim = input_dim
         self.components = [
-            [(_exact(c, "a coefficient"),
+            [(_pair(c, "a coefficient"),
               tuple(_strict_int(e, "exponent") for e in powers))
              for c, powers in comp]
             for comp in components
@@ -100,15 +104,15 @@ class PolynomialMap:
         # integer kernel: every coefficient over one common denominator,
         # each term padded to the maximum degree with powers of S
         self._denominator = math.lcm(
-            *(c.denominator for comp in self.components for c, _ in comp))
+            *(den for comp in self.components for (_, den), _ in comp))
         self._max_degree = max(
             (sum(powers) for comp in self.components for _, powers in comp),
             default=0)
         self._int_terms = [
-            [(c.numerator * (self._denominator // c.denominator),
+            [(num * (self._denominator // den),
               self._max_degree - sum(powers),
               tuple((i, e) for i, e in enumerate(powers) if e))
-             for c, powers in comp]
+             for (num, den), powers in comp]
             for comp in self.components
         ]
 
@@ -142,7 +146,7 @@ class PolynomialMap:
     def to_json(self):
         return {
             "components": [
-                [[format_rational(c), list(p)] for c, p in comp]
+                [[_format_pair(*c), list(p)] for c, p in comp]
                 for comp in self.components
             ]
         }
@@ -151,13 +155,14 @@ class PolynomialMap:
 class PiecewisePolynomialMap:
     """First-match piecewise polynomial: pieces are (threshold, map) pairs
     and a piece applies when |x|^2 <= threshold (None matches always).
+    A threshold is kept as a pair, as PolynomialMap keeps coefficients.
     Continuity across thresholds is the author's responsibility.
     """
 
     def __init__(self, pieces):
         self.pieces = []
         for threshold, poly in pieces:
-            t = None if threshold is None else _exact(threshold, "a threshold")
+            t = None if threshold is None else _pair(threshold, "a threshold")
             self.pieces.append((t, poly))
         if not self.pieces:
             raise ValueError("need at least one piece")
@@ -167,10 +172,10 @@ class PiecewisePolynomialMap:
         integers norm2 and den > 0.
         """
         for threshold, poly in self.pieces:
-            if (threshold is None
-                    or norm2 * threshold.denominator <= threshold.numerator * den):
+            if threshold is None or norm2 * threshold[1] <= threshold[0] * den:
                 return poly
-        raise ValueError(f"no piece covers |x|^2 = {Fraction(norm2, den)}")
+        raise ValueError(
+            f"no piece covers |x|^2 = {_format_pair(*_lowest(norm2, den))}")
 
     def evaluate_scaled(self, X, S):
         """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled
@@ -182,7 +187,7 @@ class PiecewisePolynomialMap:
         return {
             "pieces": [
                 {
-                    "if_norm2_le": None if t is None else format_rational(t),
+                    "if_norm2_le": None if t is None else _format_pair(*t),
                     **poly.to_json(),
                 }
                 for t, poly in self.pieces
@@ -202,7 +207,7 @@ def builtin_compact(name, dim, params=None, target_dim=None):
     if name == "zero":
         return PolynomialMap(dim, [[] for _ in range(target_dim or dim)])
     if name == "constant":
-        vector = [_exact(v, "a constant vector entry") for v in params["vector"]]
+        vector = [_pair(v, "a constant vector entry") for v in params["vector"]]
         return PolynomialMap(dim, [[(v, (0,) * dim)] for v in vector])
     if dim != 2:
         raise ValueError("complex_square_minus_one needs dimension 2")
@@ -218,7 +223,7 @@ def _polynomial_from_json(components, input_dim):
             if type(term) is not list or len(term) != 2 or type(term[1]) is not list:
                 raise ValueError(
                     f'a term must be ["num/den", [exponents]], got {term!r}')
-            terms.append((parse_rational(term[0]), tuple(term[1])))
+            terms.append((_parse_pair(term[0]), tuple(term[1])))
         comps.append(terms)
     return PolynomialMap(input_dim, comps)
 
@@ -232,14 +237,14 @@ def _compact_from_json(obj, input_dim, target_dim):
         params = {k: v for k, v in obj.items() if k != "builtin"}
         if "vector" in params:
             params["vector"] = [
-                parse_rational(v) for v in _expect(params["vector"], list, "vector")]
+                _parse_pair(v) for v in _expect(params["vector"], list, "vector")]
         return builtin_compact(obj["builtin"], input_dim, params, target_dim)
     if "pieces" in obj:
         pieces = []
         for piece in _expect(obj["pieces"], list, "pieces"):
             t = _keys(piece, ("components",), ("if_norm2_le",),
                       "a piece").get("if_norm2_le")
-            threshold = None if t is None else parse_rational(t)
+            threshold = None if t is None else _parse_pair(t)
             pieces.append(
                 (threshold, _polynomial_from_json(piece["components"], input_dim)))
         compact_part, kind = PiecewisePolynomialMap(pieces), "pieces"
@@ -271,8 +276,9 @@ class ReductionProblem(namedtuple(
         "domain_dim target_dim linear_part compact_part bound_radius")):
     """f = linear_part + compact_part on R^domain_dim -> R^target_dim,
     with the author's certificate that |f(x)| >= 1 once |x| >= bound_radius.
-    Every number given, here and in the compact part, is an int or a
-    Fraction.
+    Every number given, here and in the compact part, is an int, a
+    Fraction or a pair, and linear_part and bound_radius keep theirs as
+    pairs (numerator, denominator) in lowest terms.
 
     A compact part is its `pieces`, (threshold or None, PolynomialMap)
     pairs, as PolynomialMap and PiecewisePolynomialMap give them.  Each
@@ -287,15 +293,15 @@ class ReductionProblem(namedtuple(
                 bound_radius):
         _check_dimensions(domain_dim, target_dim)
         rows = tuple(
-            tuple(_exact(x, "a linear_part entry") for x in row)
+            tuple(_pair(x, "a linear_part entry") for x in row)
             for row in linear_part
         )
         if len(rows) != target_dim or any(len(r) != domain_dim for r in rows):
             raise ValueError(
                 f"linear_part must be {target_dim}x{domain_dim}"
             )
-        r = _exact(bound_radius, "bound_radius")
-        if r <= 0:
+        r = _pair(bound_radius, "bound_radius")
+        if r[0] <= 0:
             raise ValueError("bound_radius must be positive")
         for _, poly in compact_part.pieces:
             if poly.input_dim != domain_dim:
@@ -310,13 +316,20 @@ class ReductionProblem(namedtuple(
                 raise ArithmeticError(
                     f"compact_part has degree {poly._max_degree}, over the "
                     f"budget MAX_DEGREE = {MAX_DEGREE}")
-        if not any(t is None or t >= 4 * r * r for t, _ in compact_part.pieces):
+        # a threshold t covers the ball of radius 2R when t >= 4 R^2
+        if not any(t is None or t[0] * r[1] ** 2 >= 4 * r[0] ** 2 * t[1]
+                   for t, _ in compact_part.pieces):
             raise ValueError("compact_part does not cover the ball of radius 2R")
         return super().__new__(cls, domain_dim, target_dim, rows, compact_part, r)
 
     def f(self, x):
-        nums, den = self.compact_part.evaluate_scaled(*_over_common_denominator(x))
-        return [vec_dot(list(row), list(x)) + Fraction(n, den)
+        """f at x, coordinates as _pair reads them, as Fractions: a hook
+        for test oracles and tracers, which the reduction never calls."""
+        from fractions import Fraction
+        X, S = _over_common_denominator(x)
+        nums, den = self.compact_part.evaluate_scaled(X, S)
+        return [sum((Fraction(a * xj, b * S) for (a, b), xj in zip(row, X)),
+                    Fraction(n, den))
                 for row, n in zip(self.linear_part, nums)]
 
     def index(self) -> int:
@@ -329,7 +342,7 @@ class ReductionProblem(namedtuple(
         # before anything sized by them is built
         _check_dimensions(domain_dim, target_dim)
         linear = [
-            [parse_rational(x) for x in _expect(row, list, "a linear_part row")]
+            [_parse_pair(x) for x in _expect(row, list, "a linear_part row")]
             for row in _expect(obj["linear_part"], list, "linear_part")
         ]
         compact_part = _compact_from_json(obj["compact_part"], domain_dim,
@@ -339,7 +352,7 @@ class ReductionProblem(namedtuple(
             target_dim=target_dim,
             linear_part=linear,
             compact_part=compact_part,
-            bound_radius=parse_rational(obj["bound_radius"]),
+            bound_radius=_parse_pair(obj["bound_radius"]),
         )
 
     def to_json(self):
@@ -347,10 +360,10 @@ class ReductionProblem(namedtuple(
             "domain_dim": self.domain_dim,
             "target_dim": self.target_dim,
             "linear_part": [
-                [format_rational(x) for x in row] for row in self.linear_part
+                [_format_pair(*x) for x in row] for row in self.linear_part
             ],
             "compact_part": self.compact_part.to_json(),
-            "bound_radius": format_rational(self.bound_radius),
+            "bound_radius": _format_pair(*self.bound_radius),
         }
 
 
@@ -391,12 +404,12 @@ def _unit_point(h):
     return [(2 * num - den) * (s // den) for num, den in h], s
 
 
-def _halton_point(i: int, dim: int, half_width: Fraction):
+def _halton_point(i: int, dim: int, half_width):
     # the i-th Halton point of the cube [-w, w]^dim, t_k = w (2 h_k - 1),
-    # as integers T over one denominator
+    # for the pair w, as integers T over one denominator
     U, s = _unit_point([_radical_inverse(i, base)
                         for base in _HALTON_BASES[:dim]])
-    return [half_width.numerator * u for u in U], s * half_width.denominator
+    return [half_width[0] * u for u in U], s * half_width[1]
 
 
 def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
@@ -404,7 +417,8 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     """The origin, then the first ``count - 1`` Halton points of the cube
     of half-width ``half_width`` (radius if not given) with integer-weighted
     sum_k w_k x_k^2 <= radius^2 (all w_k = 1 if not given), as integers
-    (X, S) with x = X / S; deterministic.
+    (X, S) with x = X / S; deterministic.  radius and half_width are
+    pairs.
 
     These are the points of _halton_point, walked in order: the radical
     inverses of i = q b + r come from that of q < i, num(i) = r den(q) +
@@ -414,11 +428,11 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     _HALTON_ATTEMPTS Halton points it stops with an ArithmeticError that
     names the count asked and the largest count that can be drawn.
     """
-    r = Fraction(radius)
-    w = Fraction(half_width or r)
+    r_num, r_den = radius
+    w_num, w_den = half_width or radius
     weights = weights or [1] * dim
-    lhs_scale = w.numerator ** 2 * r.denominator ** 2
-    rhs_scale = r.numerator ** 2 * w.denominator ** 2
+    lhs_scale = w_num ** 2 * r_den ** 2
+    rhs_scale = r_num ** 2 * w_den ** 2
     bases = _HALTON_BASES[:dim]
     # radical inverses of 0 .. i - 1, one list per base
     inverses = [[(0, 1)] for _ in bases]
@@ -438,50 +452,100 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
         U, s = _unit_point(h)
         if (lhs_scale * sum(wk * u * u for wk, u in zip(weights, U))
                 <= rhs_scale * s * s):
-            points.append(([w.numerator * u for u in U], s * w.denominator))
+            points.append(([w_num * u for u in U], s * w_den))
         i += 1
     return points
 
 
-def _unit_rescale(v):
-    # exact rational rescale into 8/9 <= |v|^2 <= 9/8; the float sqrt only
-    # guides the choice of the (exact) scale factor
-    q = vec_dot(v, v)
-    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-    s = Fraction(1, 2 ** e) if e >= 0 else Fraction(2 ** (-e))
-    q0 = q * s * s
-    t = Fraction(1 / math.sqrt(float(q0))).limit_denominator(10 ** 6)
-    scale = s * t
-    q2 = q * scale * scale
-    if not Fraction(8, 9) <= q2 <= Fraction(9, 8):
-        raise ArithmeticError(f"conditioning failed: |v|^2 rescaled to {q2}")
-    return vec_scale(scale, v)
+def _limit_denominator(num: int, den: int, max_den: int):
+    """Fraction(num, den).limit_denominator(max_den) as a pair, for num/den
+    in lowest terms with den > 0: the closest rational of denominator at
+    most max_den, from the convergents p1/q1 of its continued fraction
+    and the semiconvergent before them, p1/q1 on a tie.
+    """
+    if den <= max_den:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        if q0 + a * q1 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # the two candidates lie on either side of num/den, 1/(q1 (q0 + k q1))
+    # apart, and p1/q1 lies d/(q1 den) from it
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _unit_rescale(row, den):
+    """The vector row / den rescaled exactly into 8/9 <= |v|^2 <= 9/8, as
+    pairs.
+
+    The scale is 2^-e t for 2^e about |v| and t the rational of
+    denominator at most 10^6 nearest 1 / sqrt(q0), q0 = |v|^2 4^-e: the
+    float square root only guides the choice of t.  float(q0) is the
+    division of its integers, as Fraction gives it.
+    """
+    q = _lowest(_int_dot(row, row), den * den)
+    e = (q[0].bit_length() - q[1].bit_length()) // 2
+    s = (1, 1 << e) if e >= 0 else (1 << -e, 1)
+    q0 = (q[0] * s[0] ** 2) / (q[1] * s[1] ** 2)
+    t = _limit_denominator(*(1 / math.sqrt(q0)).as_integer_ratio(), 10 ** 6)
+    scale = _lowest(s[0] * t[0], s[1] * t[1])
+    q2 = _lowest(q[0] * scale[0] ** 2, q[1] * scale[1] ** 2)
+    if not (8 * q2[1] <= 9 * q2[0] and 8 * q2[0] <= 9 * q2[1]):
+        raise ArithmeticError(
+            f"conditioning failed: |v|^2 rescaled to {_format_pair(*q2)}")
+    return [_lowest(scale[0] * x, scale[1] * den) for x in row]
+
+
+def _gram_schmidt(vectors):
+    """Orthogonalize (no normalization) with the standard inner product,
+    dropping vectors that fall in the span of the previous ones; entries
+    as _pair reads them.  Each w is (W, d, |W|^2), w = W / d for integers
+    W, of content prime to d, and d > 0.
+
+    For v = V / e and the basis so far, w = v - sum_k (v . W_k) W_k / |W_k|^2,
+    which over m = lcm |W_k|^2 is (m V - sum_k (V . W_k) (m / |W_k|^2) W_k)
+    / (m e).
+    """
+    basis = []
+    for v in vectors:
+        V, e = _over_common_denominator(v)
+        m = math.lcm(*(n2 for _, _, n2 in basis))
+        W = [m * x for x in V]
+        for B, _, n2 in basis:
+            c = _int_dot(V, B) * (m // n2)
+            W = [w - c * b for w, b in zip(W, B)]
+        if any(W):
+            g = math.gcd(*W, m * e)
+            W = [w // g for w in W]
+            basis.append((W, m * e // g, _int_dot(W, W)))
+    return basis
 
 
 def _prepared_basis(vectors):
     # for V and V' only, the two bases whose scale is read
-    return [_unit_rescale(b) for b in gram_schmidt(vectors)]
+    return [_unit_rescale(W, d) for W, d, _ in _gram_schmidt(vectors)]
 
 
 def _coker_complement(p: ReductionProblem):
     # orthogonal complement of im(l): nullspace of l^T
-    lt = transpose([list(r) for r in p.linear_part])
-    return _prepared_basis(nullspace(lt, p.target_dim))
+    return _prepared_basis(
+        nullspace(_integer_rows(transpose(p.linear_part))[0], p.target_dim))
 
 
-def _preimage_basis(p: ReductionProblem, v_basis, u_basis):
-    # l^-1(V) = kernel of x -> (projections of l x onto V-perp)
-    rows = [
-        [vec_dot(u, [row[j] for row in p.linear_part]) for j in range(p.domain_dim)]
-        for u in u_basis
-    ]
+def _preimage_basis(p: ReductionProblem, u_basis):
+    # l^-1(V) = kernel of x -> (projections of l x onto V-perp): the rows
+    # u^T l, times the common denominators of l and of the u
+    columns = transpose(_integer_rows(p.linear_part)[0])
+    rows = [[_int_dot(u, col) for col in columns]
+            for u in _integer_rows(u_basis)[0]]
     return _prepared_basis(nullspace(rows, p.domain_dim))
-
-
-def _integer_rows(vectors):
-    # rows over the least common denominator of all their entries
-    d = math.lcm(*(x.denominator for v in vectors for x in v))
-    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def _integer_row(v):
@@ -515,8 +579,10 @@ class _ReducedMap:
     def __init__(self, p: ReductionProblem, v_basis):
         self.p = p
         self.b_v = _prepared_basis(v_basis)
-        self.b_u = gram_schmidt(nullspace(self.b_v, p.target_dim))
-        self.b_vprime = _preimage_basis(p, self.b_v, self.b_u)
+        complement = nullspace(_integer_rows(self.b_v)[0], p.target_dim)
+        self.b_u = [[_lowest(x, d) for x in W]
+                    for W, d, _ in _gram_schmidt(complement)]
+        self.b_vprime = _preimage_basis(p, self.b_u)
         lift_rows, self._lift_den = _integer_rows(self.b_vprime)
         self._lift_weights = [_int_dot(row, row) for row in lift_rows]
         # along b = B / d the coordinate of y is (y . B) d / |B|^2, and
@@ -546,21 +612,21 @@ class _ReducedMap:
             # f = l + c, l's rows as degree-1 terms; padded to the maximum
             # degree m, D d'^m (y . B) is an integer polynomial in t
             f = [comp + [(a, tuple(int(j == i) for j in range(n)))
-                         for i, a in enumerate(row) if a]
+                         for i, a in enumerate(row) if a[0]]
                  for comp, row in zip(c.components, p.linear_part)]
-            D = math.lcm(*(a.denominator for comp in f for a, _ in comp))
+            D = math.lcm(*(den for comp in f for (_, den), _ in comp))
             m = max((sum(e) for comp in f for _, e in comp), default=0)
             components = []
             for row, n2 in zip(rows, self._weights):
                 total = {}
                 for b, comp in zip(row, f):
-                    for a, e in comp:
-                        scale = (b * a.numerator * (D // a.denominator)
+                    for (a_num, a_den), e in comp:
+                        scale = (b * a_num * (D // a_den)
                                  * self._lift_den ** (m - sum(e)))
                         for key, v in monomial(e).items():
                             total[key] = total.get(key, 0) + scale * v
                 den = n2 * D * self._lift_den ** m
-                components.append([(Fraction(v * d, den), key)
+                components.append([(_lowest(v * d, den), key)
                                    for key, v in total.items() if v])
             pieces.append((threshold, PolynomialMap(dim, components)))
         self._y = PiecewisePolynomialMap(pieces)
@@ -589,7 +655,7 @@ class _ReducedMap:
 # -- the reduction operations ------------------------------------------------
 
 
-def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
+def choose_reduction_subspace(p: ReductionProblem, epsilon=(1, 4),
                               samples: int = 128):
     """Basis of V = span(complement of im(l), epsilon-net of the sampled
     compact-part image).
@@ -605,15 +671,21 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
     distance to the whole space is 0: no sample is drawn when the
     complement of im(l) already spans it (l = 0, say), so ``samples``
     then sizes nothing, and no scan follows the adjoin that fills it.
+    epsilon is read as _pair reads it, and the basis vectors are lists
+    of pairs.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps <= Fraction(1, 4):
-        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon}")
+    eps_num, eps_den = _pair(epsilon, "epsilon")
+    if not 0 < 4 * eps_num <= eps_den:
+        raise ValueError(
+            "epsilon must be in (0, 1/4], got "
+            f"{_format_pair(eps_num, eps_den)}")
     basis = _coker_complement(p)
     if len(basis) == p.target_dim:
-        return [list(b) for b in basis]
+        return basis
+    r_num, r_den = p.bound_radius
     images = [p.compact_part.evaluate_scaled(X, S) for X, S in
-              _halton_ball_scaled(p.domain_dim, 2 * p.bound_radius, samples)]
+              _halton_ball_scaled(p.domain_dim, _lowest(2 * r_num, r_den),
+                                  samples)]
     while len(basis) < p.target_dim:
         rows = [_integer_row(b) for b in basis]
         # squared distances to span(basis) as integer pairs (num, den)
@@ -623,13 +695,12 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=Fraction(1, 4),
             dist2 = (r, k * den * den)
             if dist2[0] * worst_dist2[1] > worst_dist2[0] * dist2[1]:
                 worst_dist2, worst = dist2, (nums, den)
-        if (worst is None or worst_dist2[0] * eps.denominator ** 2
-                <= eps.numerator ** 2 * worst_dist2[1]):
+        if (worst is None or worst_dist2[0] * eps_den ** 2
+                <= eps_num ** 2 * worst_dist2[1]):
             break
         nums, den = worst
-        basis = _prepared_basis([list(b) for b in basis]
-                                + [[Fraction(n, den) for n in nums]])
-    return [list(b) for b in basis]
+        basis = _prepared_basis(basis + [[_lowest(n, den) for n in nums]])
+    return basis
 
 
 def verify_miss_condition(p: ReductionProblem, v_basis, *,
@@ -643,18 +714,19 @@ def verify_miss_condition(p: ReductionProblem, v_basis, *,
     dist^2 >= 1/4 rearranges to (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with
     both sides rational, and the bases are orthogonal, so |y|^2 is a
     weighted sum of the squared coordinates of y along B_V and B_U.  The
-    reported worst distance-squared is a certified rational lower bound
-    (distance itself involves a square root).  ``reduced`` is the
+    reported worst distance-squared is a certified rational lower bound,
+    a pair (distance itself involves a square root).  ``reduced`` is the
     _ReducedMap of (p, v_basis) when the caller has already built it.
     """
     rmap = reduced if reduced is not None else _ReducedMap(p, v_basis)
-    radius = 2 * p.bound_radius
+    r_num, r_den = _lowest(2 * p.bound_radius[0], p.bound_radius[1])
     dim = len(rmap.b_vprime)
     # |x| <= radius is sum_k |L_k|^2 t_k^2 <= (d' radius)^2; and
     # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
-    points = _halton_ball_scaled(dim, rmap._lift_den * radius,
+    points = _halton_ball_scaled(dim, _lowest(rmap._lift_den * r_num, r_den),
                                  _MISS_SAMPLES + 1 if dim else 1,
-                                 rmap._lift_weights, Fraction(17, 16) * radius)
+                                 rmap._lift_weights,
+                                 _lowest(17 * r_num, 16 * r_den))
     ok = True
     worst = None
     k = 10 ** 6
@@ -670,7 +742,7 @@ def verify_miss_condition(p: ReductionProblem, v_basis, *,
         dist2_lower = (k * Y + k * D - 2 * upper * D, k * D)
         if worst is None or dist2_lower[0] * worst[1] < worst[0] * dist2_lower[1]:
             worst = dist2_lower
-    return MissVerdict(ok=ok, worst_distance_squared=Fraction(*worst),
+    return MissVerdict(ok=ok, worst_distance_squared=_lowest(*worst),
                        samples_checked=len(points))
 
 
@@ -712,7 +784,7 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     b_v, b_vprime = rmap.b_v, rmap.b_vprime
     v_dim = len(b_v)
     if v_dim == 0:
-        d = det([list(r) for r in p.linear_part])
+        d = det(_integer_rows(p.linear_part)[0])
         if d == 0:
             raise ValueError("V = {0} requires invertible linear part")
         return DegreeReport(subspace_V=(), reduced_dim=0,
@@ -723,17 +795,20 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
         raise ValueError(
             "V does not span the target together with im(l)"
         )
-    b_uprime = nullspace(b_vprime, p.domain_dim)
-    l_uprime = [[vec_dot(list(row), w) for row in p.linear_part]
-                for w in b_uprime]
-    sign = _sign(det(b_uprime + b_vprime)) * _sign(det(l_uprime + b_v))
+    # the rows l w for w in U' times the denominators of l and of U'
+    b_uprime = nullspace(_integer_rows(b_vprime)[0], p.domain_dim)
+    lin = _integer_rows(p.linear_part)[0]
+    l_uprime = [[_int_dot(row, w) for row in lin]
+                for w in _integer_rows(b_uprime)[0]]
+    sign = (_sign(det(_integer_rows(b_uprime + b_vprime)[0]))
+            * _sign(det(l_uprime + _integer_rows(b_v)[0])))
     # never 0: pr_U l|_U' is injective, as w in U' with pr_U l w = 0 has
     # l w in V, so w is in V' and U' = V'-perp, w = 0; and it maps between
     # equal dimensions, dim U' = n - dim V' = t - dim V = dim U by index 0
     # and dim V' = dim V
     assert sign != 0
 
-    g_radius = Fraction(17, 16) * p.bound_radius
+    g_radius = _lowest(17 * p.bound_radius[0], 16 * p.bound_radius[1])
     degree = sign * brouwer_degree(rmap.g, v_dim, g_radius)
     return DegreeReport(
         subspace_V=tuple(tuple(b) for b in b_v),
@@ -745,7 +820,7 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
 
 def stability_check(p: ReductionProblem, v_basis, w_basis) -> StabilityVerdict:
     """Degrees computed through V and through a larger W must agree."""
-    rows = [_integer_row(b) for b in gram_schmidt(w_basis)]
+    rows = _gram_schmidt(w_basis)
     for v in v_basis:
         if _residual2(rows, _over_common_denominator(v)[0])[0] != 0:
             raise ValueError("V is not contained in span(W)")
@@ -766,11 +841,10 @@ ProperDemoReport = namedtuple("ProperDemoReport", (
     "corrected_value_norms literal_found_unbounded corrected_found_unbounded"))
 
 
-def _bump(norm2: Fraction) -> Fraction:
+def _bump(norm2):
     # phi(y) = max(0, 1 - 4|y|^2): continuous, supported in |y| <= 1/2,
     # phi(0) = 1
-    value = 1 - 4 * norm2
-    return value if value > 0 else Fraction(0)
+    return max(1 - 4 * norm2, 0)
 
 
 def proper_not_bounded_demo(N: int) -> ProperDemoReport:
@@ -785,6 +859,7 @@ def proper_not_bounded_demo(N: int) -> ProperDemoReport:
     an unbounded set as N grows.  Both facts are reported; no claim is
     made about which variant the construction intended.
     """
+    from fractions import Fraction
     if N < 3:
         raise ValueError(f"N must be at least 3, got {N}")
 

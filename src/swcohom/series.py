@@ -21,8 +21,6 @@ Patashnik, *Concrete Mathematics*, section 6.1 and (7.50)), in integer
 arithmetic and without any series multiplication.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .divisibility import _taylor_pairs

@@ -6,13 +6,19 @@ zero outside |x| <= r.  On |x| >= max(r, |L^-1|_F) the compact part is
 gone and |L x| >= |x| / |L^-1|_F >= 1, so that radius works as
 bound_radius, and the straight-line homotopy to L (which never vanishes
 there) pins the degree at sign(det L).
+
+The Fraction linear algebra the factories and the test oracles read is
+here too: swcohom.linalg computes in integers, and det and nullspace
+below are Fraction views of its elimination on rows cleared of their
+denominators.
 """
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 
-from swcohom.linalg import det, invert
+from swcohom import linalg
+from swcohom.linalg import transpose
 from swcohom.reduction import (
     PiecewisePolynomialMap,
     PolynomialMap,
@@ -20,6 +26,88 @@ from swcohom.reduction import (
 )
 
 F = Fraction
+
+
+# -- Fraction linear algebra -------------------------------------------------
+
+
+def identity(n: int):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return [[vec_dot(row, col) for col in bt] for row in a]
+
+
+def vec_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} != {len(v)}")
+    return sum((x * y for x, y in zip(u, v)), F(0))
+
+
+def vec_add(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
+def vec_sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def vec_scale(c, u):
+    return [c * x for x in u]
+
+
+def _cleared(a):
+    # each row of a times the lcm of its denominators, and the product of
+    # those positive multipliers
+    a = [[F(x) for x in row] for row in a]
+    lcms = [lcm(*(x.denominator for x in row)) for row in a]
+    return ([[x.numerator * (d // x.denominator) for x in row]
+             for row, d in zip(a, lcms)], prod(lcms))
+
+
+def det(a):
+    """Exact determinant of a square matrix of ints or Fractions, as a
+    Fraction: linalg.det of the cleared rows over their multipliers."""
+    cleared, scale = _cleared(a)
+    return F(linalg.det(cleared), scale)
+
+
+def nullspace(a, n_cols: int):
+    """linalg.nullspace of the cleared rows, as Fractions."""
+    return [[F(*x) for x in v]
+            for v in linalg.nullspace(_cleared(a)[0], n_cols)]
+
+
+def invert(a):
+    # the kernel of [a | -I] is {(x, a x)}: a is invertible exactly when
+    # the tails a x of its basis are e_0, e_1, ..., and the heads x are
+    # then the columns of the inverse
+    n = len(a)
+    basis = nullspace([list(row) + [-int(i == j) for j in range(n)]
+                       for i, row in enumerate(a)], 2 * n)
+    if [v[n:] for v in basis] != identity(n):
+        raise ValueError("matrix is singular")
+    return transpose([v[:n] for v in basis])
+
+
+def gram_schmidt(vectors):
+    """Orthogonalize (no normalization) with the standard inner product,
+    dropping vectors that fall in the span of the previous ones.
+    """
+    basis = []
+    for v in vectors:
+        w = [F(x) for x in v]
+        for b in basis:
+            coeff = vec_dot(w, b) / vec_dot(b, b)
+            w = vec_sub(w, vec_scale(coeff, b))
+        if any(w):
+            basis.append(w)
+    return basis
+
+
+# -- problems ----------------------------------------------------------------
 
 
 def _poly_mul(a, b, dim):

@@ -903,28 +903,59 @@ _CHILD = ("import sys; before = set(sys.modules); {}; "
 _RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
         "assert status == 0")
 _RUN_DOMAIN_ERROR = _RUN.replace("status == 0", "status == 1")
+_RUN_PARSE_ERROR = _RUN.replace("status == 0", "status == 2")
 _SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
 # the command line is read without argparse, and so without gettext and
-# locale, which argparse loads, and input files and reports without json
-_PARSER = {"argparse", "gettext", "locale", "json"}
-# a(p, l) are integer pairs, and fractions loads decimal and numbers
-_DIVISIBILITY_ABSENT = _PARSER | {
-    "fractions", "decimal", "numbers", "swcohom.series",
-    "swcohom.lattices", "swcohom.reduction", "swcohom.degree"}
+# locale, which argparse loads, and input files and reports without json;
+# no module postpones its annotations, which loads __future__
+_PARSER = {"argparse", "gettext", "locale", "json", "__future__"}
+# fractions loads decimal and numbers
+_FRACTIONS = {"fractions", "decimal", "numbers"}
+# a(p, l) are integer pairs
+_DIVISIBILITY_ABSENT = _PARSER | _FRACTIONS | {
+    "swcohom.series", "swcohom.lattices", "swcohom.reduction",
+    "swcohom.degree"}
+# the reduction layer's rationals are integer pairs
+_REDUCE_ABSENT = _PARSER | _FRACTIONS | {f"swcohom.{m}" for m in (
+    "lattices", "divisibility", "series", "chamber", "chern")}
+# z^2 - 1 over l = 0, whose complement of im(l) spans the target
+_ZERO_LINEAR_PROBLEM = {
+    "domain_dim": 2, "target_dim": 2,
+    "linear_part": [["0", "0"], ["0", "0"]],
+    "compact_part": {"builtin": "complex_square_minus_one"},
+    "bound_radius": "3/2",
+}
+# quarter coefficients on a piece over l = I, so that the net is drawn
+# and adjoins twice
+_PIECEWISE_PROBLEM = {
+    "domain_dim": 2, "target_dim": 2,
+    "linear_part": [["1", "0"], ["0", "1"]],
+    "compact_part": {"pieces": [
+        {"if_norm2_le": "16", "components": [
+            [["1/4", [0, 0]], ["1/4", [1, 1]]], [["-3/4", [1, 0]]]]},
+        {"components": [[], []]}]},
+    "bound_radius": "2",
+}
+# index 1: V is chosen and checked, and the degree is refused
+_INDEX_ONE_PROBLEM = {
+    "domain_dim": 3, "target_dim": 2,
+    "linear_part": [["1", "0", "0"], ["0", "1", "0"]],
+    "compact_part": {"builtin": "zero"},
+    "bound_radius": "2",
+}
 
 
 @pytest.mark.parametrize("statement, argv, absent", [
-    ("import swcohom", [], _SUBMODULES),
-    ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"}),
+    ("import swcohom", [], _SUBMODULES | {"__future__"}),
+    ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"} | {"__future__"}),
     # the reader compiles no regular expression, and linalg's elimination
     # runs in integers
     (_RUN, ["lattice", "--gram", "{gram}"],
-     _PARSER | {"fractions", "decimal", "re"} | {f"swcohom.{m}" for m in (
+     _PARSER | _FRACTIONS | {"re"} | {f"swcohom.{m}" for m in (
          "reduction", "degree", "series", "divisibility", "chamber",
          "chern")}),
-    (_RUN, ["index", "--c2", "40", "--sigma", "0"],
-     _PARSER | {"fractions"}),
-    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | {"fractions"}),
+    (_RUN, ["index", "--c2", "40", "--sigma", "0"], _PARSER | _FRACTIONS),
+    (_RUN, ["dim", "--d", "5", "--bplus", "3"], _PARSER | _FRACTIONS),
     (_RUN, ["hurewicz", "--d", "6"], _DIVISIBILITY_ABSENT),
     (_RUN, ["bound", "--d", "300", "--k", "114"], _DIVISIBILITY_ABSENT),
     (_RUN, ["sharpscan", "--dmin", "2", "--dmax", "300"],
@@ -934,17 +965,30 @@ _DIVISIBILITY_ABSENT = _PARSER | {
     (_RUN, ["chamber", "--n", "3", "--angles", "1/3,3/2"],
      _PARSER | {f"swcohom.{m}" for m in (
          "lattices", "reduction", "degree", "divisibility", "series")}),
-    (_RUN, ["reduce", "--problem", "{problem}"],
-     _PARSER | {f"swcohom.{m}" for m in (
-         "lattices", "divisibility", "series", "chamber", "chern")}),
+    (_RUN, ["reduce", "--problem", "{problem}"], _REDUCE_ABSENT),
+    (_RUN, ["reduce", "--problem", "{zero_linear}"], _REDUCE_ABSENT),
+    (_RUN, ["reduce", "--problem", "{piecewise}", "--epsilon", "1/8"],
+     _REDUCE_ABSENT),
+    (_RUN_PARSE_ERROR, ["reduce", "--problem", "{decimal_radius}"],
+     _REDUCE_ABSENT),
+    (_RUN_DOMAIN_ERROR, ["reduce", "--problem", "{index_one}"],
+     _REDUCE_ABSENT),
 ], ids=["import-package", "import-cli", "lattice", "index", "dim",
         "hurewicz", "bound", "sharpscan", "bound-domain-error", "chamber",
-        "reduce"])
+        "reduce", "reduce-zero-linear", "reduce-piecewise-net",
+        "reduce-parse-error", "reduce-domain-error"])
 def test_import_footprint(tmp_path, statement, argv, absent):
     # each subcommand loads only its own layer and the standard library
-    paths = {"gram": tmp_path / "gram.json", "problem": tmp_path / "problem.json"}
+    docs = {"problem": TRANSLATION_PROBLEM,
+            "zero_linear": _ZERO_LINEAR_PROBLEM,
+            "piecewise": _PIECEWISE_PROBLEM,
+            "decimal_radius": dict(TRANSLATION_PROBLEM, bound_radius="1.5"),
+            "index_one": _INDEX_ONE_PROBLEM}
+    paths = {"gram": tmp_path / "gram.json"}
     paths["gram"].write_text(json.dumps(e8_gram().to_json()))
-    paths["problem"].write_text(json.dumps(TRANSLATION_PROBLEM))
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD.format(statement),
          *(a.format(**paths) for a in argv)],

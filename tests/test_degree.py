@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from problem_factory import random_problem
+from problem_factory import det, random_problem
 from swcohom import degree
 from swcohom.degree import (
     MAX_DEPTH,
@@ -33,7 +33,6 @@ from swcohom.degree import (
     _square_segments,
     brouwer_degree,
 )
-from swcohom.linalg import det
 from swcohom.reduction import PolynomialMap
 from swcohom.rational import format_rational
 
@@ -256,6 +255,19 @@ def test_invalid_arguments():
         brouwer_degree(exact(lambda x: x), 2, 0)
 
 
+@pytest.mark.parametrize("radius", [2.0, "2", True],
+                         ids=["float", "string", "bool"])
+def test_radius_must_be_exact(radius):
+    # a float or a string stands for some other rational, and True is not
+    # the radius 1; z^2 - 1 has degree 2 within radius 2
+    g = exact(complex_poly([(1, 0), (-1, 0)]))
+    with pytest.raises(TypeError,
+                       match="^radius must be an int or a Fraction, got "):
+        brouwer_degree(g, 2, radius)
+    assert (brouwer_degree(g, 2, 2) == brouwer_degree(g, 2, F(2))
+            == brouwer_degree(g, 2, (4, 2)) == 2)
+
+
 # -- the Fraction mesh, kept as the oracle ----------------------------------
 
 
@@ -366,9 +378,13 @@ def refined(g, dim, radius):
     r = F(radius)
     if dim == 2:
         unit = r / 2 ** MAX_DEPTH
-        return _refined(exact(g), _square_segments(), unit), unit
-    unit = 7 * r / 4 / 2 ** MAX_DEPTH
-    return _refined(exact(g), _octahedron_faces(), unit), unit
+        cells = _square_segments()
+    else:
+        unit = 7 * r / 4 / 2 ** MAX_DEPTH
+        cells = _octahedron_faces()
+    # _refined takes the unit as a pair
+    pair = (unit.numerator, unit.denominator)
+    return _refined(exact(g), cells, pair), unit
 
 
 # -- dim 2: the refined segments and the ray count -------------------------
@@ -501,7 +517,7 @@ def test_dim3_count_matches_solid_angles_on_factory_problems():
     rng = random.Random(31)
     for _ in range(8):
         p, expected = random_problem(rng, 3)
-        assert assert_solid_angles_agree(p.f, p.bound_radius) == expected
+        assert assert_solid_angles_agree(p.f, F(*p.bound_radius)) == expected
 
 
 def test_dim3_count_matches_solid_angles_on_linear_maps():
@@ -554,7 +570,7 @@ def test_dim3_points_match_fraction_mesh():
     rng = random.Random(31)
     for _ in range(4):
         p, _ = random_problem(rng, 3)
-        cases.append((p.f, p.bound_radius))
+        cases.append((p.f, F(*p.bound_radius)))
     for g, radius in cases:
         assert_same_points_as_fraction_mesh(g, 3, radius)
 

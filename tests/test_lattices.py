@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from problem_factory import identity, invert, mat_mul
 from swcohom import lattices
 from swcohom.cli import main
 from swcohom.lattices import (
@@ -35,7 +36,7 @@ from swcohom.lattices import (
     validate,
 )
 from swcohom.lattices import _require_valid, _short_vectors
-from swcohom.linalg import identity, invert, mat_mul, transpose
+from swcohom.linalg import transpose
 
 
 def norm_of(g, coords):

@@ -3,7 +3,8 @@
 The oracle is the elimination det and nullspace ran before they ran
 Bareiss in integers: Gaussian elimination over Fraction with row
 exchanges, and the reduced row echelon form whose free columns give the
-kernel basis.
+kernel basis.  det and nullspace here are the Fraction views in
+problem_factory of linalg's integer det and nullspace.
 """
 
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swcohom.linalg import _bareiss, det, identity, invert, mat_mul, nullspace
+from problem_factory import _cleared, det, identity, invert, mat_mul, nullspace
+from swcohom import linalg
+from swcohom.linalg import _bareiss
 
 F = Fraction
 
@@ -113,6 +116,9 @@ def test_elimination_matches_gauss_jordan(a, square):
     basis = nullspace(a, len(a[0]) if a else 0)
     assert basis == rref_nullspace(a, len(a[0]) if a else 0)
     assert all(type(x) is F for v in basis for x in v)
+    # linalg.nullspace gives each entry in lowest terms, as Fraction does
+    pairs = linalg.nullspace(_cleared(a)[0], len(a[0]) if a else 0)
+    assert pairs == [[(x.numerator, x.denominator) for x in v] for v in basis]
     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in basis)
     d = det(square)
     assert d == gauss_det(square) and type(d) is F

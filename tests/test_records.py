@@ -43,16 +43,17 @@ RECORDS = [
     (lambda: donaldson_admissible(e8_gram()),
      "AdmissibilityVerdict(admissible=False, min_norm=0, "
      "witness=LatticeVector(coords=(0, 0, 0, 0, 0, 0, 0, 0)), basis=None)"),
-    (lambda: DegreeReport(subspace_V=((Fraction(1), Fraction(0)),),
+    # the reduction layer's rationals are (numerator, denominator) pairs
+    (lambda: DegreeReport(subspace_V=(((1, 1), (0, 1)),),
                           reduced_dim=1, degree=-1,
-                          miss=MissVerdict(True, Fraction(1, 3), 160)),
-     "DegreeReport(subspace_V=((Fraction(1, 1), Fraction(0, 1)),), "
+                          miss=MissVerdict(True, (1, 3), 160)),
+     "DegreeReport(subspace_V=(((1, 1), (0, 1)),), "
      "reduced_dim=1, degree=-1, "
-     "miss=MissVerdict(ok=True, worst_distance_squared=Fraction(1, 3), "
+     "miss=MissVerdict(ok=True, worst_distance_squared=(1, 3), "
      "samples_checked=160))"),
-    (lambda: MissVerdict(ok=True, worst_distance_squared=Fraction(1, 3),
+    (lambda: MissVerdict(ok=True, worst_distance_squared=(1, 3),
                          samples_checked=160),
-     "MissVerdict(ok=True, worst_distance_squared=Fraction(1, 3), "
+     "MissVerdict(ok=True, worst_distance_squared=(1, 3), "
      "samples_checked=160)"),
     (lambda: StabilityVerdict(1, 1, True),
      "StabilityVerdict(degree_small=1, degree_large=1, equal=True)"),
@@ -75,9 +76,8 @@ RECORDS = [
      "LatticeVector(coords=(1, -2))"),
     (lambda: ReductionProblem(2, 2, [[1, 0], [0, 1]], _ZERO, 2),
      "ReductionProblem(domain_dim=2, target_dim=2, "
-     "linear_part=((Fraction(1, 1), Fraction(0, 1)), "
-     "(Fraction(0, 1), Fraction(1, 1))), "
-     f"compact_part={_ZERO!r}, bound_radius=Fraction(2, 1))"),
+     "linear_part=(((1, 1), (0, 1)), ((0, 1), (1, 1))), "
+     f"compact_part={_ZERO!r}, bound_radius=(2, 1))"),
 ]
 
 

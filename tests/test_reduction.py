@@ -2,11 +2,15 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from problem_factory import random_problem, skewed_problem, zero_linear_problem
+from problem_factory import (det, gram_schmidt, nullspace, random_problem,
+                             skewed_problem, vec_add, vec_dot, vec_scale,
+                             vec_sub, zero_linear_problem)
 from swcohom import reduction
 from swcohom.reduction import (
     _HALTON_BASES,
@@ -16,8 +20,6 @@ from swcohom.reduction import (
     PolynomialMap,
     ReductionProblem,
     _halton_ball_scaled,
-    _prepared_basis,
-    _preimage_basis,
     _halton_point,
     _radical_inverse,
     _ReducedMap,
@@ -29,7 +31,6 @@ from swcohom.reduction import (
     stability_check,
     verify_miss_condition,
 )
-from swcohom.linalg import det, nullspace, vec_add, vec_dot, vec_scale, vec_sub
 
 F = Fraction
 
@@ -44,9 +45,20 @@ def radical_inverse(i, base):
     return F(num, denom)
 
 
+def fr(q):
+    # a rational of the reduction layer, a pair, or an int or a Fraction
+    # given to it, as a Fraction
+    return F(*q) if type(q) is tuple else F(q)
+
+
+def frs(vectors):
+    return [[fr(x) for x in v] for v in vectors]
+
+
 def halton_ball(dim, radius, count):
-    return [[F(x, S) for x in X]
-            for X, S in _halton_ball_scaled(dim, radius, count)]
+    r = F(radius)
+    return [[F(x, S) for x in X] for X, S in
+            _halton_ball_scaled(dim, (r.numerator, r.denominator), count)]
 
 
 def identity_problem(dim, compact, radius):
@@ -90,21 +102,50 @@ def _span_samples(basis, radius, count, ambient_dim):
     return points
 
 
+def unit_rescale(v):
+    # the Fraction rescale the pair one replaced, as the oracle: exact
+    # into 8/9 <= |v|^2 <= 9/8, the float sqrt only guiding the scale
+    q = vec_dot(v, v)
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    s = F(1, 2 ** e) if e >= 0 else F(2 ** (-e))
+    q0 = q * s * s
+    t = F(1 / sqrt(float(q0))).limit_denominator(10 ** 6)
+    scale = s * t
+    q2 = q * scale * scale
+    if not F(8, 9) <= q2 <= F(9, 8):
+        raise ArithmeticError(f"conditioning failed: |v|^2 rescaled to {q2}")
+    return vec_scale(scale, v)
+
+
+def prepared_basis(vectors):
+    # Gram-Schmidt in Fractions, then the Fraction rescale
+    return [unit_rescale(b) for b in gram_schmidt(frs(vectors))]
+
+
 def rescaled_complement(orth_basis, dim):
     # V-perp rescaled as V is, which the reduced map no longer does; V'
     # and the oracle's values do not depend on that scale
-    return _prepared_basis(nullspace([list(b) for b in orth_basis], dim))
+    return prepared_basis(nullspace([list(b) for b in orth_basis], dim))
+
+
+def preimage_basis(p, u_basis):
+    # l^-1(V), the kernel of x -> (projections of l x onto V-perp)
+    lin = frs(p.linear_part)
+    rows = [[vec_dot(u, [row[j] for row in lin]) for j in range(p.domain_dim)]
+            for u in u_basis]
+    return prepared_basis(nullspace(rows, p.domain_dim))
 
 
 def oracle_bases(p, v_basis):
-    b_v = _prepared_basis(v_basis)
+    b_v = prepared_basis(v_basis)
     b_u = rescaled_complement(b_v, p.target_dim)
-    return b_v, b_u, _preimage_basis(p, b_v, b_u)
+    return b_v, b_u, preimage_basis(p, b_u)
 
 
 def oracle_miss(p, v_basis, samples=160):
     b_v, b_u, b_vprime = oracle_bases(p, v_basis)
-    points = _span_samples(b_vprime, 2 * p.bound_radius, samples, p.domain_dim)
+    points = _span_samples(b_vprime, 2 * fr(p.bound_radius), samples,
+                           p.domain_dim)
     ok = True
     worst = None
     for x in points:
@@ -119,6 +160,7 @@ def oracle_miss(p, v_basis, samples=160):
         dist2_lower = y2 + 1 - 2 * upper
         if worst is None or dist2_lower < worst:
             worst = dist2_lower
+    worst = (worst.numerator, worst.denominator)
     return MissVerdict(ok=ok, worst_distance_squared=worst,
                        samples_checked=len(points))
 
@@ -154,7 +196,7 @@ def naive_polynomial(m, x):
     for comp in m.components:
         total = F(0)
         for coeff, powers in comp:
-            term = coeff
+            term = fr(coeff)
             for xi, e in zip(x, powers):
                 for _ in range(e):
                     term *= F(xi)
@@ -164,7 +206,7 @@ def naive_polynomial(m, x):
 
 
 def in_span(basis, v):
-    b = _prepared_basis(basis)
+    b = prepared_basis(basis)
     resid = vec_sub([F(x) for x in v], _project(b, v))
     return vec_dot(resid, resid) == 0
 
@@ -282,7 +324,7 @@ def test_json_roundtrip_piecewise():
     rng = random.Random(2)
     p, _ = random_problem(rng, 2)
     q = ReductionProblem.from_json(json.loads(json.dumps(p.to_json())))
-    for x in halton_ball(2, p.bound_radius, 12):
+    for x in halton_ball(2, fr(p.bound_radius), 12):
         assert q.f(x) == p.f(x)
 
 
@@ -322,12 +364,81 @@ def test_radical_inverse_matches_fraction_oracle():
     for i in (1, 7, 100, 1999):
         for dim in (1, 2, 3, 4):
             w = F(17, 12)
-            T, s = _halton_point(i, dim, w)
+            T, s = _halton_point(i, dim, (w.numerator, w.denominator))
             assert [F(t, s) for t in T] == [
                 w * (2 * radical_inverse(i, b) - 1) for b in _HALTON_BASES[:dim]]
 
 
 # -- bases ----------------------------------------------------------------
+
+
+ENTRIES = st.one_of(st.integers(-9, 9),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def vector_lists(draw):
+    """Up to n + 1 vectors of length n <= 4, of every rank: `rank` drawn
+    vectors, each times its own 2^k with |k| <= 40, and the others zero
+    or mixes of two drawn ones, in any order; given as ints and
+    Fractions, or as pairs."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(0, n + 1))
+    rank = draw(st.integers(0, min(count, n)))
+    drawn = []
+    for _ in range(rank):
+        scale = F(2) ** draw(st.integers(-40, 40))
+        drawn.append([scale * draw(ENTRIES) for _ in range(n)])
+    vectors = list(drawn)
+    for _ in range(count - rank):
+        if not drawn or draw(st.booleans()):
+            vectors.append([0] * n)
+        else:
+            a, b = draw(st.sampled_from(drawn)), draw(st.sampled_from(drawn))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            vectors.append([s * x + t * y for x, y in zip(a, b)])
+    vectors = draw(st.permutations(vectors))
+    if draw(st.booleans()):
+        vectors = [[(F(x).numerator, F(x).denominator) for x in v]
+                   for v in vectors]
+    return vectors
+
+
+def basis_or_error(prepare, vectors):
+    try:
+        return frs(prepare(vectors))
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@given(vector_lists())
+def test_prepared_basis_matches_fraction_reference(vectors):
+    # the pair Gram-Schmidt and rescale give the Fraction ones' rationals,
+    # or their "conditioning failed" error, and each pair in lowest terms
+    assert (basis_or_error(reduction._prepared_basis, vectors)
+            == basis_or_error(prepared_basis, vectors))
+    for v in reduction._prepared_basis(vectors):
+        assert all(gcd(num, den) == 1 and den > 0 for num, den in v)
+
+
+DYADICS = st.builds(lambda k, j: F(k, 2 ** j),
+                    st.integers(-2 ** 60, 2 ** 60), st.integers(0, 80))
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(F),
+                 DYADICS, st.integers(-10 ** 30, 10 ** 30).map(F),
+                 st.fractions(max_denominator=10 ** 6),
+                 st.fractions(max_denominator=10 ** 12)),
+       st.sampled_from((10 ** 6, 10 ** 6, 10 ** 6, 1, 2, 7, 1000)))
+@example(F(1, 2), 1)
+@example(F(-5, 2), 1)
+@example(F(1 / sqrt(2)), 10 ** 6)
+def test_limit_denominator_matches_fraction(x, max_den):
+    # the replica _unit_rescale runs on 1/sqrt(q0) as a float, ties
+    # included, on the Python that runs the tests
+    expected = x.limit_denominator(max_den)
+    assert (reduction._limit_denominator(x.numerator, x.denominator, max_den)
+            == (expected.numerator, expected.denominator))
 
 
 def test_nullspace_without_rows_and_empty_determinant():
@@ -471,15 +582,16 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
     for dim in (1, 2, 3):
         for _ in range(3):
             p, _ = random_problem(rng, dim)
-            threshold = p.compact_part.pieces[0][0]
+            threshold = fr(p.compact_part.pieces[0][0])
             for V in (choose_reduction_subspace(p),
                       [[int(i == j) for j in range(dim)] for i in range(dim)]):
                 rmap = _ReducedMap(p, V)
                 oracle = oracle_g(p, V)
                 k = len(rmap.b_vprime)
+                b_vprime = frs(rmap.b_vprime)
                 sides = set()
-                for t in halton_ball(k, 2 * p.bound_radius, 24):
-                    x = [sum((tk * b[j] for tk, b in zip(t, rmap.b_vprime)),
+                for t in halton_ball(k, 2 * fr(p.bound_radius), 24):
+                    x = [sum((tk * b[j] for tk, b in zip(t, b_vprime)),
                              F(0)) for j in range(dim)]
                     sides.add(vec_dot(x, x) <= threshold)
                     assert reduced_g(rmap, t) == oracle(t)
@@ -498,7 +610,7 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
                     dim, dim, p.linear_part, c, p.bound_radius), V)
                     for c in (split.compact_part, inner_poly, ones)]
                 on = 0
-                for j, b in enumerate(rmap.b_vprime):
+                for j, b in enumerate(frs(rmap.b_vprime)):
                     q = threshold / vec_dot(b, b)
                     root = F(isqrt(q.numerator), isqrt(q.denominator))
                     if root * root != q:
@@ -518,7 +630,8 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
                   [[int(i == j) for j in range(dim)] for i in range(dim)]):
             rmap = _ReducedMap(p, V)
             oracle = oracle_g(p, V)
-            for t in halton_ball(len(rmap.b_vprime), 2 * p.bound_radius, 24):
+            k = len(rmap.b_vprime)
+            for t in halton_ball(k, 2 * fr(p.bound_radius), 24):
                 assert reduced_g(rmap, t) == oracle(t)
 
 
