@@ -16,6 +16,9 @@ count).
 
 Convention: increasing angle crosses positively, and the first-half
 chamber (angles in (0, pi)) receives the larger count n + 1.
+
+make_path takes n <= MAX_N = 10^6, checked before any work; a larger n
+is an ArithmeticError.  Every count then has at most seven digits.
 """
 
 from collections import namedtuple
@@ -23,6 +26,8 @@ from fractions import Fraction
 from math import floor
 
 from .rational import _exact
+
+MAX_N = 10 ** 6
 
 __all__ = [
     "LatitudePath",
@@ -93,6 +98,9 @@ def make_path(n: int, breakpoints=None) -> LatitudePath:
     """The canonical monotone class-n path, or a caller-supplied
     representative checked to lie in class n.
     """
+    if n > MAX_N:
+        raise ArithmeticError(
+            f"chamber budget exceeded: n must be at most {MAX_N}")
     if n < 0:
         raise ValueError(f"class label must be nonnegative, got {n}")
     if breakpoints is None:

@@ -5,9 +5,12 @@ Every report carries a versioned "schema" field; rationals travel as
 "num/den" strings; nothing is ever parsed as a float.  Errors go to
 standard error as structured JSON with a machine-readable code, and the
 exit status distinguishes domain errors (1) from I/O and parse errors
-(2).  Output is deterministic: identical inputs give identical bytes.
+(2); a report that cannot be written is an I/O error.  Output is
+deterministic: identical inputs give identical bytes.
 """
 
+import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -676,11 +679,27 @@ def _parse(argv):
     return name, fmt or "json", args
 
 
+def _write(text):
+    """Print ``text`` on standard output and flush it; a write that fails
+    there, to a full device or a closed pipe, is an io error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes standard output again at exit and would
+        # meet the same fault; what the buffer still holds goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CLIError(2, "io",
+                       f"cannot write to standard output: {exc}") from exc
+
+
 def main(argv=None) -> int:
     try:
         name, fmt, args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
-            print(_usage(name))
+            _write(_usage(name))
             return 0
         try:
             report = _COMMANDS[name][0](args)
@@ -694,6 +713,7 @@ def main(argv=None) -> int:
             raise _domain(f"{name}: a report integer is longer than the "
                           f"{sys.get_int_max_str_digits()}-digit limit of "
                           "integer text") from exc
+        _write(text)
     except CLIError as exc:
         doc = {
             "schema": "swcohom/error/1",
@@ -701,9 +721,19 @@ def main(argv=None) -> int:
         }
         print(_dumps(doc), file=sys.stderr)
         return exc.status
-    print(text)
     return 0
 
 
+def _process_main():
+    """main() for a process that ends when it returns: the console script
+    and ``python -m swcohom.cli``.  The report is written by then, so the
+    heap is frozen, and the collections the interpreter runs at shutdown
+    skip every object in it.  Exit runs as before, atexit handlers and the
+    final flush included."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_process_main())

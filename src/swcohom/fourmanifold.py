@@ -9,9 +9,14 @@ Only the b1 = 0, b_plus = 2p+1 odd regime is wired to the divisibility
 corollary.  The general moduli dimension ind_R(D) + b1 - b2 is not
 implemented: which flavor of b2 it means is ambiguous in the b1 > 0
 case, and nothing downstream needs it.
+
+expected_moduli_dimension takes |d| and b_plus up to MAX_DIM_INPUT =
+10^6, checked before any work; a larger one is an ArithmeticError.
 """
 
 from collections import namedtuple
+
+MAX_DIM_INPUT = 10 ** 6
 
 __all__ = [
     "FourManifoldData",
@@ -65,6 +70,10 @@ def expected_moduli_dimension(d: int, b_plus: int) -> int:
 
     May be negative; callers decide whether that is an error.
     """
+    if abs(d) > MAX_DIM_INPUT or b_plus > MAX_DIM_INPUT:
+        raise ArithmeticError(
+            f"dim budget exceeded: |d| and b_plus must be at most "
+            f"{MAX_DIM_INPUT}")
     if b_plus < 3 or b_plus % 2 == 0:
         raise ValueError(f"b_plus must be odd and >= 3, got {b_plus}")
     return 2 * d - b_plus - 1

@@ -1,6 +1,8 @@
 """Exit codes, JSON shape, and determinism of the command-line front end."""
 
+import gc
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import swcohom
-from swcohom import cli, lattices
+from swcohom import chamber, cli, fourmanifold, lattices
 from swcohom.cli import MAX_INPUT_CHARS, _dumps, _loads, main
 from swcohom.divisibility import MAX_D
 from swcohom.lattices import (
@@ -779,10 +781,15 @@ def test_help_prints_usage_and_returns(capsys):
     ["chamber", "--n", "9" * 4300, "--angles", "1/3"],
     ["dim", "--d", "9" * 4300, "--bplus", "3"],
 ], ids=["chamber-huge-n", "dim-huge-d"])
-def test_report_integer_too_long_for_text_is_one_domain_error(capsys, fmt, argv):
+def test_report_integer_too_long_for_text_is_one_domain_error(
+        capsys, monkeypatch, fmt, argv):
     # 4300 digits convert from text, but the report's signed count n + 1
     # or degree 2d - 4 has 4301, more than Python converts to text: the
-    # report is rendered inside main's error handling, never a traceback
+    # report is rendered inside main's error handling, never a traceback.
+    # The chamber and dim budgets refuse such inputs first, so they are
+    # lifted here to reach the renderer
+    monkeypatch.setattr(chamber, "MAX_N", float("inf"))
+    monkeypatch.setattr(fourmanifold, "MAX_DIM_INPUT", float("inf"))
     status, out, err = run(capsys, *fmt, *argv)
     assert (status, out) == (1, "")
     lines = err.splitlines()
@@ -795,6 +802,42 @@ def test_report_integer_too_long_for_text_is_one_domain_error(capsys, fmt, argv)
     assert doc["error"]["message"] == (
         f"{argv[0]}: a report integer is longer than the 4300-digit limit "
         "of integer text")
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["chamber", "--n", "9" * 4300, "--angles", "1/3"], "chamber"),
+    (["chamber", "--n", str(chamber.MAX_N + 1), "--angles", "1/3,3/2"],
+     "chamber"),
+    (["dim", "--d", "9" * 4300, "--bplus", "3"], "dim"),
+    (["dim", "--d", str(-fourmanifold.MAX_DIM_INPUT - 1), "--bplus", "3"],
+     "dim"),
+    (["dim", "--d", "-1", "--bplus", "9" * 4300], "dim"),
+    (["dim", "--c2", str(8 * fourmanifold.MAX_DIM_INPUT + 8), "--sigma", "0",
+      "--bplus", "3"], "dim"),
+], ids=["chamber-huge-n", "chamber-past-budget", "dim-huge-d",
+        "dim-past-budget-below", "dim-huge-bplus", "dim-past-budget-via-c2"])
+def test_chamber_and_dim_past_the_budget_are_one_domain_error(
+        capsys, monkeypatch, argv, budget):
+    # refused before the path is built or a count taken
+    monkeypatch.setattr(chamber, "LatitudePath", None)
+    monkeypatch.setattr(chamber, "signed_preimage_count", None)
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "domain"
+    assert error["message"].startswith(f"{budget} budget exceeded")
+
+
+def test_chamber_and_dim_at_the_budget_are_reported(capsys):
+    n, d = chamber.MAX_N, fourmanifold.MAX_DIM_INPUT
+    doc = run_json(capsys, "chamber", "--n", str(n), "--angles", "1/3,3/2")
+    assert [c["signed_count"] for c in doc["counts"]] == [n + 1, n]
+    doc = run_json(capsys, "dim", "--d", str(-d), "--bplus", str(d - 1))
+    assert doc["k"] == -3 * d
+    doc = run_json(capsys, "dim", "--d", str(d), "--bplus", "3")
+    assert doc["k"] == 2 * d - 4
 
 
 # what reports and error documents hold, nested; the example pins lone
@@ -893,6 +936,92 @@ def test_module_invocation_roundtrip():
     doc = json.loads(proc.stdout)
     counts = [row["signed_count"] for row in doc["counts"]]
     assert counts == [1, 0]
+
+
+# the console script's wrapper: it calls the entry point and exits with
+# what it returns
+_CONSOLE_SCRIPT = ("import sys; from swcohom.cli import _process_main; "
+                   "sys.exit(_process_main())")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["index", "--c2", "40", "--sigma", "0"], 0),
+    (["--format", "table", "bound", "--d", "12", "--k", "4"], 0),
+    (["index", "--c2", "16", "--sig", "0"], 2),
+    (["index", "--c2", "1", "--sigma", "0"], 1),
+], ids=["success", "success-table", "parse-error", "domain-error"])
+def test_process_entry_points_match_main(capsys, argv, status):
+    # python -m swcohom.cli and the console script give the bytes and the
+    # status of main(argv) in process
+    expected = run(capsys, *argv)
+    assert expected[0] == status
+    for prefix in (["-m", "swcohom.cli"], ["-c", _CONSOLE_SCRIPT]):
+        proc = subprocess.run([sys.executable, *prefix, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # in process, main(argv) freezes nothing, on success and on error
+    before = gc.get_freeze_count()
+    for argv in (["index", "--c2", "40", "--sigma", "0"],
+                 ["index", "--c2", "1", "--sigma", "0"]):
+        run(capsys, *argv)
+        assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_the_heap():
+    code = ("import gc, sys; from swcohom.cli import _process_main; "
+            "status = _process_main(); "
+            "assert (status, gc.get_freeze_count() > 0) == (0, True)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "index", "--c2", "40", "--sigma", "0"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["d"] == 5
+
+
+def _assert_one_io_error(proc):
+    # exit status 2 and one io document, with no traceback and no
+    # "Exception ignored" from the interpreter's flush at exit
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["schema"] == "swcohom/error/1"
+    assert doc["error"]["code"] == "io"
+    assert doc["error"]["message"].startswith("cannot write to standard output")
+
+
+# a report of a few bytes, and one of 562 KB, more than a pipe holds
+_REPORTS = pytest.mark.parametrize("argv", [
+    ["index", "--c2", "40", "--sigma", "0"],
+    ["sharpscan", "--dmin", "2", "--dmax", "1000"],
+], ids=["index", "sharpscan"])
+
+
+@_REPORTS
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_to_a_full_device_is_one_io_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "swcohom.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    _assert_one_io_error(proc)
+
+
+@_REPORTS
+def test_report_to_a_closed_pipe_is_one_io_error(argv):
+    # the read end is closed before the child starts, so every write to
+    # the pipe fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "swcohom.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write_end)
+    _assert_one_io_error(proc)
 
 
 # a child process runs one statement and then prints, on standard error,

@@ -42,7 +42,8 @@ def test_name_is_its_defining_modules_object(name):
     assert getattr(module, name) is value
 
 
-# cli's one name is the console script, and linalg is an internal layer
+# cli's one name is main, the in-process entry point, and linalg is an
+# internal layer
 INTERNAL = {"cli", "linalg"}
 
 
