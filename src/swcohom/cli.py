@@ -686,11 +686,6 @@ def _write(text):
         print(text)
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes standard output again at exit and would
-        # meet the same fault; what the buffer still holds goes to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         raise CLIError(2, "io",
                        f"cannot write to standard output: {exc}") from exc
 
@@ -709,7 +704,8 @@ def main(argv=None) -> int:
             text = (_render_table(report) if fmt == "table"
                     else _dumps(report, indent=True))
         except ValueError as exc:
-            # only str() of an int past the interpreter's limit raises here
+            # only str() of an int past the interpreter's limit raises here;
+            # a lattice whose diagonal witness has such a coordinate does
             raise _domain(f"{name}: a report integer is longer than the "
                           f"{sys.get_int_max_str_digits()}-digit limit of "
                           "integer text") from exc
@@ -731,6 +727,15 @@ def _process_main():
     skip every object in it.  Exit runs as before, atexit handlers and the
     final flush included."""
     status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write as an io error, and the
+        # interpreter's flush at exit would meet the same fault: what the
+        # buffer still holds goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     gc.freeze()
     return status
 

@@ -1,6 +1,8 @@
 """Exit codes, JSON shape, and determinism of the command-line front end."""
 
+import errno
 import gc
+import io
 import json
 import os
 import pkgutil
@@ -787,7 +789,8 @@ def test_report_integer_too_long_for_text_is_one_domain_error(
     # or degree 2d - 4 has 4301, more than Python converts to text: the
     # report is rendered inside main's error handling, never a traceback.
     # The chamber and dim budgets refuse such inputs first, so they are
-    # lifted here to reach the renderer
+    # lifted here to reach the renderer; the lattice test below reaches it
+    # with every budget in place
     monkeypatch.setattr(chamber, "MAX_N", float("inf"))
     monkeypatch.setattr(fourmanifold, "MAX_DIM_INPUT", float("inf"))
     status, out, err = run(capsys, *fmt, *argv)
@@ -802,6 +805,26 @@ def test_report_integer_too_long_for_text_is_one_domain_error(
     assert doc["error"]["message"] == (
         f"{argv[0]}: a report integer is longer than the 4300-digit limit "
         "of integer text")
+
+
+@HUGE_INT
+@pytest.mark.parametrize("fmt", [[], ["--format", "table"]], ids=["json", "table"])
+def test_lattice_witness_too_long_for_text_is_one_domain_error(
+        capsys, tmp_path, fmt):
+    # G = -B^T B for the unit lower triangular B with a, a, a under the
+    # diagonal: a form of rank 4, diagonal over Z, with entries of about
+    # 3000 digits.  The walk finds its norm -1 shell in a few nodes, and
+    # the shell's vector e_1 has the coordinate -a^3, of 4501 digits
+    a = 10 ** 1500 + 1
+    cols = [(1, a, 0, 0), (0, 1, a, 0), (0, 0, 1, a), (0, 0, 0, 1)]
+    gram = [[-sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(gram))
+    status, out, err = run(capsys, *fmt, "lattice", "--gram", str(path))
+    assert (status, out) == (1, "")
+    assert json.loads(err) == {"schema": "swcohom/error/1", "error": {
+        "code": "domain", "message": "lattice: a report integer is longer "
+        "than the 4300-digit limit of integer text"}}
 
 
 @pytest.mark.parametrize("argv, budget", [
@@ -979,6 +1002,26 @@ def test_process_entry_freezes_the_heap():
         capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["d"] == 5
+
+
+class _FullStream(io.StringIO):
+    # a standard output with no file descriptor, on which every write fails
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_unwritable_output_in_process_is_one_io_error(capsys, monkeypatch):
+    # main(argv) reports the failed write and leaves the process's file
+    # descriptors as they were
+    fd1 = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    status = main(["index", "--c2", "40", "--sigma", "0"])
+    assert status == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "code": "io", "message": "cannot write to standard output: "
+        "[Errno 28] No space left on device"}
+    assert (os.fstat(1).st_dev, os.fstat(1).st_ino) == (fd1.st_dev,
+                                                        fd1.st_ino)
 
 
 def _assert_one_io_error(proc):
