@@ -259,7 +259,8 @@ def brouwer_degree(g, dim: int, radius) -> int:
 
     g(X, S) returns the map at x = X/S, for ``dim`` integers X and S > 0,
     as (``dim`` integer numerators, one denominator > 0), the contract of
-    PolynomialMap.evaluate_scaled; the map must be nonvanishing on the
+    evaluate_scaled on a PolynomialMap and on the reduction's integer
+    polynomial; the map must be nonvanishing on the
     enclosing boundary polytope.  dim 1 is a sign comparison at the two
     endpoints.  In dims 2 and 3 one loop refines the segments of the
     square or the triangles of the octahedron on an integer grid of step

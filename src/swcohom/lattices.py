@@ -18,9 +18,10 @@ x^T A x = sum_k (U_k . x)^2 / (d_{k-1} d_k), the
 fraction-free LDL^T (E. Bareiss, Math. Comp. 22, 1968).  Scaled by
 lcm_k d_{k-1} d_k every term is an integer, so each Fincke-Pohst
 coordinate range costs one integer square root, never a float or a
-Fraction.  A walk stops with an ArithmeticError after MAX_NODES
-coordinate values, and a form of rank over MAX_RANK is refused before
-its elimination.
+Fraction.  A walk stops with an ArithmeticError once it has tried
+MAX_NODES coordinate values, each weighted 1 + (b // 512)^2 for a scale
+of b bits, as a node's integer work grows with b; and a form of rank
+over MAX_RANK is refused before its elimination.
 """
 
 from collections import namedtuple
@@ -101,7 +102,8 @@ ValidationResult = namedtuple("ValidationResult", "valid failure", defaults=(Non
 AdmissibilityVerdict = namedtuple("AdmissibilityVerdict",
                                   "admissible min_norm witness basis")
 
-# coordinate values one walk may try before it gives up
+# coordinate values one walk may try before it gives up, on forms whose
+# scaled integers stay within 511 bits; each costs more on larger ones
 MAX_NODES = 1 << 20
 # the largest rank eliminated; the elimination's cost grows as the cube
 MAX_RANK = 64
@@ -205,6 +207,10 @@ def _short_vectors(rows, bound: int, residue, step: int):
     pairs = [p * q for p, q in zip([1] + d, d)]
     scale = lcm(*pairs)
     w = [scale // p for p in pairs]
+    # a node multiplies and takes integer square roots of numbers the size
+    # of scale, work that grows faster than their bits do: past 512 bits
+    # each node counts for more than one, quadratically in the bits
+    weight = 1 + (scale.bit_length() >> 9) ** 2
     y = [0] * n
     residue = residue[::-1]
     nodes = 0
@@ -222,7 +228,7 @@ def _short_vectors(rows, bound: int, residue, step: int):
         lo = -((r + t) // dk) if signed else 0
         lo += (residue[k] - lo) % step
         for yk in range(lo, (r - t) // dk + 1, step):
-            nodes += 1
+            nodes += weight
             if nodes > MAX_NODES:
                 raise ArithmeticError("lattice search budget exceeded")
             y[k] = yk

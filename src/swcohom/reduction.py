@@ -23,8 +23,8 @@ ever enters a computed value.  V-perp is only orthogonalized, as |y|^2,
 the orientation's (V')-perp is a raw nullspace: a change of its basis by
 M multiplies both orientation determinants by det M.
 
-For a chosen V the reduced map is prepared once: y(t) = f(B_V' t),
-expanded in integers as one PolynomialMap in the coordinates t of
+For a chosen V the reduced map is prepared once: y(t) = f(B_V' t), one
+integer _Poly, as a PolynomialMap holds its own, in the coordinates t of
 l^-1(V) per piece of the compact part, whose components are the
 coordinates of y along V, then along V-perp.  Its one evaluator serves
 the miss check, which weighs the squared integer numerators into |y|^2
@@ -79,48 +79,24 @@ def _int_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-class PolynomialMap:
-    """Exact polynomial map Q^m -> Q^k.
+class _Poly:
+    """Integer polynomial map: output j is the sum of c x^e over
+    components[j] = {exponent tuple e: int c}, over den > 0.  Its degree is
+    the highest |e| among the keys, and evaluation pads each term to it
+    with powers of S, precompiled as (c, S power, nonzero (i, e_i))."""
 
-    components[j] is a list of (coefficient, exponent tuple) terms; the
-    j-th output is the sum of coeff * prod(x_i ** e_i).  A coefficient
-    is given as an int, a Fraction or a pair and kept as a pair
-    (numerator, denominator) in lowest terms.  Evaluation runs in
-    integers through evaluate_scaled.
-    """
-
-    def __init__(self, input_dim, components):
-        self.input_dim = input_dim
-        self.components = [
-            [(_pair(c, "a coefficient"),
-              tuple(_strict_int(e, "exponent") for e in powers))
-             for c, powers in comp]
-            for comp in components
-        ]
-        for comp in self.components:
-            for _, powers in comp:
-                if len(powers) != input_dim or any(e < 0 for e in powers):
-                    raise ValueError(f"bad exponent tuple {powers}")
-        # integer kernel: every coefficient over one common denominator,
-        # each term padded to the maximum degree with powers of S
-        self._denominator = math.lcm(
-            *(den for comp in self.components for (_, den), _ in comp))
-        self._max_degree = max(
-            (sum(powers) for comp in self.components for _, powers in comp),
-            default=0)
-        self._int_terms = [
-            [(num * (self._denominator // den),
-              self._max_degree - sum(powers),
-              tuple((i, e) for i, e in enumerate(powers) if e))
-             for (num, den), powers in comp]
-            for comp in self.components
-        ]
+    def __init__(self, components, den):
+        self.components, self.den = components, den
+        self.degree = degree = max(
+            (sum(e) for comp in components for e in comp), default=0)
+        self._terms = [[(c, degree - sum(e),
+                         tuple((i, k) for i, k in enumerate(e) if k))
+                        for e, c in comp.items() if c] for comp in components]
 
     def evaluate_scaled(self, X, S):
-        """Values at x = X/S, for integers X and S > 0, as integer
-        numerators over one common denominator: (numerators, denominator).
-        """
-        m = self._max_degree
+        """Values at x = X/S, for integers X and S > 0, as integer numerators
+        over one common denominator: (numerators, denominator)."""
+        m = self.degree
         s_pow = [1]
         x_pow = [[1] for _ in X]
         for _ in range(m):
@@ -128,7 +104,7 @@ class PolynomialMap:
             for xi, row in zip(X, x_pow):
                 row.append(row[-1] * xi)
         nums = []
-        for comp in self._int_terms:
+        for comp in self._terms:
             total = 0
             for coeff, slack, factors in comp:
                 term = coeff * s_pow[slack]
@@ -136,7 +112,63 @@ class PolynomialMap:
                     term *= x_pow[i][e]
                 total += term
             nums.append(total)
-        return nums, self._denominator * s_pow[m]
+        return nums, self.den * s_pow[m]
+
+    def substitute(self, lift_rows, d):
+        """The map at x = sum_k t_k L_k / d, for integer rows L_k and
+        d > 0, as a _Poly in t divided by its content: over d^m, c x^e is
+        c d^(m - |e|) (sum_k t_k L_k)^e, each power expanded once."""
+        m, powers, out = self.degree, {}, []
+
+        def power(e):
+            i = next((i for i, ei in enumerate(e) if ei), None)
+            if i is not None and e not in powers:
+                terms = powers[e] = {}
+                for key, v in power(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                    for j, row in enumerate(lift_rows):
+                        if row[i]:
+                            up = key[:j] + (key[j] + 1,) + key[j + 1:]
+                            terms[up] = terms.get(up, 0) + v * row[i]
+            return powers[e] if i is not None else {(0,) * len(lift_rows): 1}
+
+        for comp in self.components:
+            out.append({})
+            for e, c in comp.items():
+                c *= d ** (m - sum(e))
+                for key, v in power(e).items() if c else ():
+                    out[-1][key] = out[-1].get(key, 0) + c * v
+        g = math.gcd(self.den * d ** m, *(v for comp in out for v in comp.values()))
+        out = [{key: v // g for key, v in comp.items() if v} for comp in out]
+        return _Poly(out, self.den * d ** m // g)
+
+
+class PolynomialMap:
+    """Exact polynomial map Q^m -> Q^k.
+
+    components[j] is a list of (coefficient, exponent tuple) terms; the
+    j-th output is the sum of coeff * prod(x_i ** e_i).  A coefficient
+    is given as an int, a Fraction or a pair and kept as a pair
+    (numerator, denominator) in lowest terms, and evaluation runs on one
+    _Poly of the terms over their least common denominator.
+    """
+
+    def __init__(self, input_dim, components):
+        self.input_dim = input_dim
+        self.components = [[(_pair(c, "a coefficient"),
+                              tuple(_strict_int(e, "exponent") for e in powers))
+                             for c, powers in comp] for comp in components]
+        den = math.lcm(*(den for comp in self.components for (_, den), _ in comp))
+        ints = [{} for _ in self.components]
+        for comp, terms in zip(self.components, ints):
+            for (num, c_den), powers in comp:
+                if len(powers) != input_dim or any(e < 0 for e in powers):
+                    raise ValueError(f"bad exponent tuple {powers}")
+                terms[powers] = terms.get(powers, 0) + num * (den // c_den)
+        self._poly = _Poly(ints, den)
+
+    def evaluate_scaled(self, X, S):
+        """Values at x = X/S as _Poly.evaluate_scaled gives them."""
+        return self._poly.evaluate_scaled(X, S)
 
     @property
     def pieces(self):
@@ -178,9 +210,7 @@ class PiecewisePolynomialMap:
             f"no piece covers |x|^2 = {_format_pair(*_lowest(norm2, den))}")
 
     def evaluate_scaled(self, X, S):
-        """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled
-        does.
-        """
+        """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled."""
         return self.piece(_int_dot(X, X), S * S).evaluate_scaled(X, S)
 
     def to_json(self):
@@ -312,9 +342,9 @@ class ReductionProblem(namedtuple(
                 raise ValueError(
                     f"compact_part needs {target_dim} components, "
                     f"got {len(poly.components)}")
-            if poly._max_degree > MAX_DEGREE:
+            if poly._poly.degree > MAX_DEGREE:
                 raise ArithmeticError(
-                    f"compact_part has degree {poly._max_degree}, over the "
+                    f"compact_part has degree {poly._poly.degree}, over the "
                     f"budget MAX_DEGREE = {MAX_DEGREE}")
         # a threshold t covers the ball of radius 2R when t >= 4 R^2
         if not any(t is None or t[0] * r[1] ** 2 >= 4 * r[0] ** 2 * t[1]
@@ -539,19 +569,12 @@ def _coker_complement(p: ReductionProblem):
         nullspace(_integer_rows(transpose(p.linear_part))[0], p.target_dim))
 
 
-def _preimage_basis(p: ReductionProblem, u_basis):
+def _preimage_basis(p: ReductionProblem, u_rows):
     # l^-1(V) = kernel of x -> (projections of l x onto V-perp): the rows
-    # u^T l, times the common denominators of l and of the u
+    # u^T l, for integer rows u spanning V-perp, times l's denominator
     columns = transpose(_integer_rows(p.linear_part)[0])
-    rows = [[_int_dot(u, col) for col in columns]
-            for u in _integer_rows(u_basis)[0]]
+    rows = [[_int_dot(u, col) for col in columns] for u in u_rows]
     return _prepared_basis(nullspace(rows, p.domain_dim))
-
-
-def _integer_row(v):
-    # (B, d, |B|^2) for v = B / d
-    (row,), d = _integer_rows([v])
-    return row, d, _int_dot(row, row)
 
 
 def _residual2(rows, y):
@@ -566,8 +589,8 @@ class _ReducedMap:
     """f on V' = l^-1(V) in coordinates, for one problem and one V.
 
     Prepares B_V, B_U = V-perp and B_V' = l^-1(V) once, and expands
-    y(t) = f(B_V' t) once per piece of the compact part, in integers, as
-    one PolynomialMap in t: the coordinates of y along B_V, then B_U.
+    y(t) = f(B_V' t) once per piece of the compact part, as one _Poly in
+    t: the coordinates of y along B_V, then B_U, substituted at once.
     B_V' is orthogonal integer rows L_k over one denominator d', so
     |B_V' t|^2 = sum |L_k|^2 t_k^2 / d'^2 picks the piece.  g(T, s), the
     B_V coordinates at t = T / s, is the reduced map whose degree is taken.
@@ -577,58 +600,35 @@ class _ReducedMap:
     """
 
     def __init__(self, p: ReductionProblem, v_basis):
-        self.p = p
         self.b_v = _prepared_basis(v_basis)
-        complement = nullspace(_integer_rows(self.b_v)[0], p.target_dim)
-        self.b_u = [[_lowest(x, d) for x in W]
-                    for W, d, _ in _gram_schmidt(complement)]
-        self.b_vprime = _preimage_basis(p, self.b_u)
+        # rows B of B_V over one denominator d, then of B_U, each b = B / d:
+        # along b the coordinate of y is (y . B) d / |B|^2, and d^2 |y|^2 is
+        # the sum of |B|^2 coordinate^2 over B_V and B_U
+        rows, d = _integer_rows(self.b_v)
+        rows += [W for W, _, _ in _gram_schmidt(nullspace(rows, p.target_dim))]
+        self.b_vprime = _preimage_basis(p, rows[len(self.b_v):])
         lift_rows, self._lift_den = _integer_rows(self.b_vprime)
         self._lift_weights = [_int_dot(row, row) for row in lift_rows]
-        # along b = B / d the coordinate of y is (y . B) d / |B|^2, and
-        # d^2 |y|^2 is the sum of |B|^2 coordinate^2 over B_V and B_U
-        rows, d = _integer_rows(self.b_v + self.b_u)
         self._weights = [_int_dot(row, row) for row in rows]
         self._d2 = d * d
-        n, dim = p.domain_dim, len(lift_rows)
-        # x_i d' = sum_k L_ki t_k, so x^e d'^|e| is an integer polynomial
-        # in t, {exponents: coefficient}, expanded once for each e
-        lam = [[(k, row[i]) for k, row in enumerate(lift_rows) if row[i]]
-               for i in range(n)]
-        monomials = {(0,) * n: {(0,) * dim: 1}}
-
-        def monomial(e):
-            if e not in monomials:
-                i = next(i for i, ei in enumerate(e) if ei)
-                out = monomials[e] = {}
-                for key, v in monomial(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
-                    for k, lki in lam[i]:
-                        up = key[:k] + (key[k] + 1,) + key[k + 1:]
-                        out[up] = out.get(up, 0) + v * lki
-            return monomials[e]
-
+        # over k = lcm |B|^2 the coordinate is d (k / |B|^2) (y . B) / k,
+        # and D f = D c + D l, l's rows as degree-1 terms, is in integers
+        k, n = math.lcm(*self._weights), p.domain_dim
         pieces = []
         for threshold, c in p.compact_part.pieces:
-            # f = l + c, l's rows as degree-1 terms; padded to the maximum
-            # degree m, D d'^m (y . B) is an integer polynomial in t
-            f = [comp + [(a, tuple(int(j == i) for j in range(n)))
-                         for i, a in enumerate(row) if a[0]]
+            c = c._poly
+            D = math.lcm(c.den, *(den for row in p.linear_part for _, den in row))
+            f = [[(e, v * (D // c.den)) for e, v in comp.items()]
+                 + [((0,) * i + (1,) + (0,) * (n - 1 - i), a * (D // a_den))
+                    for i, (a, a_den) in enumerate(row)]
                  for comp, row in zip(c.components, p.linear_part)]
-            D = math.lcm(*(den for comp in f for (_, den), _ in comp))
-            m = max((sum(e) for comp in f for _, e in comp), default=0)
-            components = []
-            for row, n2 in zip(rows, self._weights):
-                total = {}
-                for b, comp in zip(row, f):
-                    for (a_num, a_den), e in comp:
-                        scale = (b * a_num * (D // a_den)
-                                 * self._lift_den ** (m - sum(e)))
-                        for key, v in monomial(e).items():
-                            total[key] = total.get(key, 0) + scale * v
-                den = n2 * D * self._lift_den ** m
-                components.append([(_lowest(v * d, den), key)
-                                   for key, v in total.items() if v])
-            pieces.append((threshold, PolynomialMap(dim, components)))
+            y = [{} for _ in rows]
+            for total, row, n2 in zip(y, rows, self._weights):
+                for b, terms in zip(row, f):
+                    for e, v in terms:
+                        total[e] = total.get(e, 0) + d * (k // n2) * b * v
+            pieces.append((threshold,
+                           _Poly(y, D * k).substitute(lift_rows, self._lift_den)))
         self._y = PiecewisePolynomialMap(pieces)
 
     def evaluate_scaled(self, T, s):
@@ -687,7 +687,7 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=(1, 4),
               _halton_ball_scaled(p.domain_dim, _lowest(2 * r_num, r_den),
                                   samples)]
     while len(basis) < p.target_dim:
-        rows = [_integer_row(b) for b in basis]
+        rows = _gram_schmidt(basis)
         # squared distances to span(basis) as integer pairs (num, den)
         worst_dist2, worst = (0, 1), None
         for nums, den in images:

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from math import factorial, log10
 
 import pytest
@@ -825,6 +826,28 @@ def test_lattice_witness_too_long_for_text_is_one_domain_error(
     assert json.loads(err) == {"schema": "swcohom/error/1", "error": {
         "code": "domain", "message": "lattice: a report integer is longer "
         "than the 4300-digit limit of integer text"}}
+
+
+@pytest.mark.parametrize("exponent", [300, 1500])
+def test_lattice_walk_on_huge_entries_is_one_budget_error(
+        capsys, tmp_path, exponent):
+    # G = -B^T B for the unit upper triangular B with a, a, a above the
+    # diagonal: unimodular and definite, with a walk scale of 10^4 and
+    # 5 10^4 bits, where one node costs some 25 and 300 times what it does
+    # on a small form.  The budget charges each node by that size, so the
+    # search is refused in a fraction of a second, not in minutes
+    a = 10 ** exponent + 1
+    rows = [(1, a, 0, 0), (0, 1, a, 0), (0, 0, 1, a), (0, 0, 0, 1)]
+    gram = [[-sum(r[i] * r[j] for r in rows) for j in range(4)]
+            for i in range(4)]
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(gram))
+    start = time.perf_counter()
+    status, out, err = run(capsys, "lattice", "--gram", str(path))
+    assert time.perf_counter() - start < 3
+    assert (status, out) == (1, "")
+    assert json.loads(err) == {"schema": "swcohom/error/1", "error": {
+        "code": "domain", "message": "lattice search budget exceeded"}}
 
 
 @pytest.mark.parametrize("argv, budget", [

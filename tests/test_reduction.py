@@ -281,6 +281,14 @@ def test_degree_budget():
                                      (None, x0_to(MAX_DEGREE + 1))])
     with pytest.raises(ArithmeticError, match="MAX_DEGREE"):
         ReductionProblem(2, 2, identity, pieces, 2)
+    # the degree is that of the exponents as given: a piece whose only term
+    # past the budget has coefficient 0 is refused all the same
+    zero_top = PolynomialMap(2, [[(F(1), (1, 0)), (0, (MAX_DEGREE + 1, 0))],
+                                 []])
+    for compact in (zero_top, PiecewisePolynomialMap([(F(1), x0_to(1)),
+                                                      (None, zero_top)])):
+        with pytest.raises(ArithmeticError, match=f"degree {MAX_DEGREE + 1}"):
+            ReductionProblem(2, 2, identity, compact, 2)
 
 
 def test_every_piece_has_the_problem_shape():
@@ -633,6 +641,45 @@ def test_reduced_map_matches_oracle_on_both_sides_of_threshold():
             k = len(rmap.b_vprime)
             for t in halton_ball(k, 2 * fr(p.bound_radius), 24):
                 assert reduced_g(rmap, t) == oracle(t)
+
+
+@st.composite
+def substitutions(draw):
+    # an integer map over one denominator in 1-3 variables, of degree at
+    # most 4, with repeated exponent tuples and zero coefficients; integer
+    # lift rows L_1 .. L_k, k = 0 .. n, over d > 0; and a point t = T / s
+    n = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 4).map(tuple)
+    pool = draw(st.lists(exponents, min_size=1, max_size=6))
+    den = draw(st.integers(1, 12))
+    terms = st.tuples(st.integers(-9, 9).map(lambda c: F(c, den)),
+                      st.sampled_from(pool))
+    components = draw(st.lists(st.lists(terms, max_size=6),
+                               min_size=1, max_size=3))
+    k = draw(st.integers(0, n))
+    small = st.integers(-5, 5)
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    T = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    return (PolynomialMap(n, components), rows, draw(st.integers(1, 10)),
+            T, draw(st.integers(1, 10)))
+
+
+@given(substitutions())
+def test_substitute_matches_direct_evaluation(case):
+    # the kernel's substitution x = sum_k t_k L_k / d, evaluated at
+    # t = T / s, is the map as given, term by term, at that x in Fractions
+    m, rows, d, T, s = case
+    q = m._poly.substitute(rows, d)
+    x = [sum((F(tk, s) * F(row[i], d) for tk, row in zip(T, rows)), F(0))
+         for i in range(m.input_dim)]
+    nums, den = q.evaluate_scaled(T, s)
+    assert [F(a, den) for a in nums] == naive_polynomial(m, x)
+    # divided by its content, and with no zero term, so of the degree of
+    # its nonzero terms
+    coeffs = [c for comp in q.components for c in comp.values()]
+    assert q.den > 0 and gcd(q.den, *coeffs) == 1 and all(coeffs)
 
 
 def test_piecewise_threshold_is_inclusive():
