@@ -9,7 +9,7 @@ exit status distinguishes domain errors (1) from I/O and parse errors
 deterministic: identical inputs give identical bytes.
 """
 
-import gc
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -721,24 +721,22 @@ def main(argv=None) -> int:
 
 
 def _process_main():
-    """main() for a process that ends when it returns: the console script
-    and ``python -m swcohom.cli``.  The report is written by then, so the
-    heap is frozen, and the collections the interpreter runs at shutdown
-    skip every object in it.  Exit runs as before, atexit handlers and the
-    final flush included."""
+    """Run main() as the whole of a process, the console script or
+    ``python -m swcohom.cli``, and end it without returning: the atexit
+    handlers run, both streams are flushed, and ``os._exit`` passes main's
+    status, skipping finalization (module teardown, deallocation and the
+    collections at shutdown)."""
     status = main()
+    atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
     except OSError:
-        # main has reported the failed write as an io error, and the
-        # interpreter's flush at exit would meet the same fault: what the
-        # buffer still holds goes to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    gc.freeze()
-    return status
+        # main has already reported a report it could not write as an io
+        # error, and what the buffer still holds meets the same fault
+        pass
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(_process_main())
+    _process_main()

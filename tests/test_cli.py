@@ -1,7 +1,6 @@
 """Exit codes, JSON shape, and determinism of the command-line front end."""
 
 import errno
-import gc
 import io
 import json
 import os
@@ -988,17 +987,32 @@ def test_module_invocation_roundtrip():
 # what it returns
 _CONSOLE_SCRIPT = ("import sys; from swcohom.cli import _process_main; "
                    "sys.exit(_process_main())")
+# the lattice and the zero-linear z^2 - 1 problem of CI's console-script
+# step
+_CI_GRAM = [[-2, 1], [1, -1]]
+_CI_PROBLEM = {
+    "domain_dim": 2, "target_dim": 2,
+    "linear_part": [["0", "0"], ["0", "0"]],
+    "compact_part": {"builtin": "complex_square_minus_one"},
+    "bound_radius": "2",
+}
 
 
 @pytest.mark.parametrize("argv, status", [
     (["index", "--c2", "40", "--sigma", "0"], 0),
     (["--format", "table", "bound", "--d", "12", "--k", "4"], 0),
+    (["lattice", "--gram", "{tmp}/gram.json"], 0),
+    (["reduce", "--problem", "{tmp}/problem.json"], 0),
     (["index", "--c2", "16", "--sig", "0"], 2),
     (["index", "--c2", "1", "--sigma", "0"], 1),
-], ids=["success", "success-table", "parse-error", "domain-error"])
-def test_process_entry_points_match_main(capsys, argv, status):
+], ids=["success", "success-table", "lattice", "reduce", "parse-error",
+        "domain-error"])
+def test_process_entry_points_match_main(capsys, tmp_path, argv, status):
     # python -m swcohom.cli and the console script give the bytes and the
     # status of main(argv) in process
+    (tmp_path / "gram.json").write_text(json.dumps(_CI_GRAM))
+    (tmp_path / "problem.json").write_text(json.dumps(_CI_PROBLEM))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     expected = run(capsys, *argv)
     assert expected[0] == status
     for prefix in (["-m", "swcohom.cli"], ["-c", _CONSOLE_SCRIPT]):
@@ -1007,30 +1021,65 @@ def test_process_entry_points_match_main(capsys, argv, status):
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
-def test_main_leaves_the_collector_alone(capsys):
-    # in process, main(argv) freezes nothing, on success and on error
-    before = gc.get_freeze_count()
-    for argv in (["index", "--c2", "40", "--sigma", "0"],
-                 ["index", "--c2", "1", "--sigma", "0"]):
-        run(capsys, *argv)
-        assert gc.get_freeze_count() == before
-
-
-def test_process_entry_freezes_the_heap():
-    code = ("import gc, sys; from swcohom.cli import _process_main; "
-            "status = _process_main(); "
-            "assert (status, gc.get_freeze_count() > 0) == (0, True)")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "index", "--c2", "40", "--sigma", "0"],
-        capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["d"] == 5
-
-
 class _FullStream(io.StringIO):
     # a standard output with no file descriptor, on which every write fails
     def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_main_returns_in_process(capsys, monkeypatch):
+    # main(argv) returns its status to an in-process caller, on success and
+    # on every error, and the process goes on
+    for argv, status in ((["index", "--c2", "40", "--sigma", "0"], 0),
+                         (["index", "--c2", "1", "--sigma", "0"], 1),
+                         (["index", "--c2", "16", "--sig", "0"], 2)):
+        assert run(capsys, *argv)[0] == status
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _FullStream())
+        assert main(["index", "--c2", "40", "--sigma", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "io"
+
+
+# a handler registered before the entry point writes a marker, with no
+# newline to flush it, on standard error and then on standard output, and a
+# statement after the entry point would write another and change the status
+_WITH_HANDLER = (
+    "import atexit, sys; from swcohom.cli import _process_main; "
+    "atexit.register(lambda: (sys.stderr.write('atexit'), "
+    "sys.stdout.write('atexit'))); "
+    "_process_main(); print('after', file=sys.stderr); sys.exit(99)")
+
+
+@pytest.mark.parametrize("argv, full", [
+    (["index", "--c2", "40", "--sigma", "0"], False),
+    (["index", "--c2", "16", "--sig", "0"], False),
+    (["index", "--c2", "1", "--sigma", "0"], False),
+    (["index", "--c2", "40", "--sigma", "0"], True),
+], ids=["success", "parse-error", "domain-error", "io-error"])
+def test_process_entry_runs_atexit_handlers_then_exits(capsys, monkeypatch,
+                                                       argv, full):
+    # the handlers run once main has written its report or error document,
+    # the status is main's, and the process ends in _process_main
+    if not full:
+        status, out, err = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-c", _WITH_HANDLER, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            status, out + "atexit", err + "atexit")
+        return
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _FullStream())
+        status, _, err = run(capsys, *argv)
+    with open("/dev/full", "w") as sink:
+        proc = subprocess.run([sys.executable, "-c", _WITH_HANDLER, *argv],
+                              stdout=sink, stderr=subprocess.PIPE, text=True)
+    # the handler's own write to the full device fails, and the
+    # interpreter reports that after its marker; the status stays main's
+    assert (proc.returncode, status) == (2, 2)
+    assert proc.stderr.startswith(err + "atexit")
+    assert "after" not in proc.stderr
 
 
 def test_unwritable_output_in_process_is_one_io_error(capsys, monkeypatch):
