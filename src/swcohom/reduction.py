@@ -26,10 +26,17 @@ M multiplies both orientation determinants by det M.
 For a chosen V the reduced map is prepared once: y(t) = f(B_V' t), one
 integer _Poly, as a PolynomialMap holds its own, in the coordinates t of
 l^-1(V) per piece of the compact part, whose components are the
-coordinates of y along V, then along V-perp.  Its one evaluator serves
+coordinates of y along V, then along V-perp.  That one kernel serves
 the miss check, which weighs the squared integer numerators into |y|^2
 and |pr_perp y|^2, and the degree, which takes the V coordinates, so
 `reduce` checks the miss condition once.
+
+The net and the miss check each sample one Halton walk
+(_halton_ball_scaled): every point over one denominator S, one column of
+integer numerators per coordinate.  _split_walk parts the points by the
+piece that applies, and _Poly.evaluate_walk evaluates each part a
+monomial column at a time, to the values evaluate_scaled gives point by
+point, which the degree still calls.
 """
 
 import math
@@ -113,6 +120,39 @@ class _Poly:
                 total += term
             nums.append(total)
         return nums, self.den * s_pow[m]
+
+    def evaluate_walk(self, columns, S):
+        """Values at every point of a walk, x_i = columns[i][j] / S at point
+        j for integers and S > 0, as evaluate_scaled gives them point by
+        point: (one column of numerators per component, den S^m).
+
+        Column by column: each power column (variable, exponent) is built
+        once, then each monomial's column once, and every term of that
+        monomial adds it times its coefficient, into which its power of S
+        is folded.  A walk in no variables is the origin alone.
+        """
+        m = self.degree
+        s_pow = [1]
+        for _ in range(m):
+            s_pow.append(s_pow[-1] * S)
+        ones = [1] * (len(columns[0]) if columns else 1)
+        powers = [[ones, col] for col in columns]
+        terms = {}
+        for j, comp in enumerate(self._terms):
+            for coeff, slack, factors in comp:
+                terms.setdefault(factors, []).append((j, coeff * s_pow[slack]))
+        totals = [[0] * len(ones) for _ in self._terms]
+        for factors, uses in terms.items():
+            col = ones
+            for i, e in factors:
+                row = powers[i]
+                while len(row) <= e:
+                    row.append([a * b for a, b in zip(row[-1], row[1])])
+                col = row[e] if col is ones else [
+                    a * b for a, b in zip(col, row[e])]
+            for j, c in uses:
+                totals[j] = [t + c * a for t, a in zip(totals[j], col)]
+        return totals, self.den * s_pow[m]
 
     def substitute(self, lift_rows, d):
         """The map at x = sum_k t_k L_k / d, for integer rows L_k and
@@ -206,8 +246,7 @@ class PiecewisePolynomialMap:
         for threshold, poly in self.pieces:
             if threshold is None or norm2 * threshold[1] <= threshold[0] * den:
                 return poly
-        raise ValueError(
-            f"no piece covers |x|^2 = {_format_pair(*_lowest(norm2, den))}")
+        raise _uncovered(norm2, den)
 
     def evaluate_scaled(self, X, S):
         """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled."""
@@ -223,6 +262,37 @@ class PiecewisePolynomialMap:
                 for t, poly in self.pieces
             ]
         }
+
+
+def _uncovered(norm2, den):
+    return ValueError(
+        f"no piece covers |x|^2 = {_format_pair(*_lowest(norm2, den))}")
+
+
+def _split_walk(pieces, weights, columns, den):
+    """The points of a walk (columns, S) by the first of the pieces
+    (threshold or None, map) that covers |x|^2 = sum_k w_k X_k^2 / den, as
+    PiecewisePolynomialMap.piece picks it: (map, point indices, their
+    columns) per piece that some point falls to, in the order of pieces.
+    """
+    size = len(columns[0]) if columns else 1
+    lengths2 = [0] * size
+    for w, col in zip(weights, columns):
+        lengths2 = [n + w * a * a for n, a in zip(lengths2, col)]
+    rest, groups = range(size), []
+    for threshold, poly in pieces:
+        if threshold is None:
+            inside, rest = rest, []
+        else:
+            t_num, t_den = threshold
+            inside = [j for j in rest if lengths2[j] * t_den <= t_num * den]
+            rest = [j for j in rest if lengths2[j] * t_den > t_num * den]
+        if inside:
+            groups.append((poly, inside, columns if len(inside) == size else
+                           [[col[j] for j in inside] for col in columns]))
+        if not rest:
+            return groups
+    raise _uncovered(lengths2[rest[0]], den)
 
 
 def builtin_compact(name, dim, params=None, target_dim=None):
@@ -413,78 +483,77 @@ _MISS_SAMPLES = 160
 _HALTON_ATTEMPTS = 8192
 
 
-def _radical_inverse(i: int, base: int):
-    """The radical inverse of i in ``base`` as integers (num, base^k).
-
-    For i >= 1 the last digit added to num is the leading digit of i, so
-    num is prime to a prime base and num / base^k is in lowest terms.
-    """
-    num, denom = 0, 1
-    while i:
-        num = num * base + (i % base)
-        denom *= base
-        i //= base
-    return num, denom
-
-
-def _unit_point(h):
-    # the Halton point with coordinates h_k = num_k / den_k, moved to the
-    # cube [-1, 1]^dim as integers U over s, U_k / s = 2 h_k - 1
-    s = math.prod(den for _, den in h)
-    return [(2 * num - den) * (s // den) for num, den in h], s
-
-
-def _halton_point(i: int, dim: int, half_width):
-    # the i-th Halton point of the cube [-w, w]^dim, t_k = w (2 h_k - 1),
-    # for the pair w, as integers T over one denominator
-    U, s = _unit_point([_radical_inverse(i, base)
-                        for base in _HALTON_BASES[:dim]])
-    return [half_width[0] * u for u in U], s * half_width[1]
+def _power_above(base: int, n: int) -> int:
+    # base^k for the k base-b digits of n >= 0, the least power above n
+    power = 1
+    while power <= n:
+        power *= base
+    return power
 
 
 def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
                         half_width=None):
     """The origin, then the first ``count - 1`` Halton points of the cube
     of half-width ``half_width`` (radius if not given) with integer-weighted
-    sum_k w_k x_k^2 <= radius^2 (all w_k = 1 if not given), as integers
-    (X, S) with x = X / S; deterministic.  radius and half_width are
-    pairs.
+    sum_k w_k x_k^2 <= radius^2 (all w_k = 1 if not given), as one walk
+    (columns, S): x_k = columns[k][j] / S at point j, one S for every
+    point; deterministic.  radius and half_width are pairs.  A walk in no
+    variables is the origin alone.
 
-    These are the points of _halton_point, walked in order: the radical
-    inverses of i = q b + r come from that of q < i, num(i) = r den(q) +
-    num(q) and den(i) = b den(q), and the ball test reads the unit-cube
-    integers U, s of x = w U / s with the constant factors hoisted,
-    w_num^2 r_den^2 sum_k w_k U_k^2 <= r_num^2 w_den^2 s^2.  Past
-    _HALTON_ATTEMPTS Halton points it stops with an ArithmeticError that
-    names the count asked and the largest count that can be drawn.
+    Halton point i has coordinates w (2 h_b(i) - 1) for the radical
+    inverse h_b(i) in base b, and 2 h_b(i) - 1 is kept as an integer
+    numerator u(i) over D_b = b^K, K the base-b digits of
+    _HALTON_ATTEMPTS: h_b(q b + r) = (r + h_b(q)) / b gives u(q b + r) =
+    (u(q) + (2 r + 1 - b) D_b) / b.  The walk takes the indices L <= i <
+    2L a level at a time, whose q all lie below L, and over P = prod D_b
+    its ball test is one integer comparison per candidate, sum_k w_num^2
+    r_den^2 w_k (P / D_b)^2 u(i)^2 <= r_num^2 w_den^2 P^2.  The points
+    drawn come back over S = w_den prod D'_b, D'_b = b^k for the k base-b
+    digits of the last index drawn, the least common denominator of their
+    radical inverses.  Past _HALTON_ATTEMPTS candidates it stops with an
+    ArithmeticError that names the count asked and the largest count that
+    can be drawn.
     """
     r_num, r_den = radius
     w_num, w_den = half_width or radius
     weights = weights or [1] * dim
-    lhs_scale = w_num ** 2 * r_den ** 2
-    rhs_scale = r_num ** 2 * w_den ** 2
     bases = _HALTON_BASES[:dim]
-    # radical inverses of 0 .. i - 1, one list per base
-    inverses = [[(0, 1)] for _ in bases]
-    points = [([0] * dim, 1)]
-    i = 1
-    while len(points) < count:
-        if i > _HALTON_ATTEMPTS:
+    dens = [_power_above(b, _HALTON_ATTEMPTS) for b in bases]
+    P = math.prod(dens)
+    scales = [w_num ** 2 * r_den ** 2 * wk * (P // D) ** 2
+              for wk, D in zip(weights, dens)]
+    bound = r_num ** 2 * w_den ** 2 * P * P
+    # u(i) for the indices 0 .. lo - 1, and (2 r + 1 - b) D_b, per base
+    units = [[-D] for D in dens]
+    steps = [[(2 * r + 1 - b) * D for r in range(b)]
+             for b, D in zip(bases, dens)]
+    # the indices drawn, after the origin
+    drawn = []
+    lo = 1
+    while dim and len(drawn) + 1 < count:
+        if lo > _HALTON_ATTEMPTS:
             raise ArithmeticError(
                 f"sampling budget exceeded: {count} samples asked, and at "
-                f"most {len(points)} can be drawn")
-        h = []
-        for base, known in zip(bases, inverses):
-            q, digit = divmod(i, base)
-            num, den = known[q]
-            known.append((digit * den + num, base * den))
-            h.append(known[i])
-        U, s = _unit_point(h)
-        if (lhs_scale * sum(wk * u * u for wk, u in zip(weights, U))
-                <= rhs_scale * s * s):
-            points.append(([w_num * u for u in U], s * w_den))
-        i += 1
-    return points
+                f"most {len(drawn) + 1} can be drawn")
+        hi = min(2 * lo, _HALTON_ATTEMPTS + 1)
+        lhs = [0] * (hi - lo)
+        for b, known, step, scale in zip(bases, units, steps, scales):
+            q = lo // b
+            known += [(u + t) // b for u in known[q:(hi - 1) // b + 1]
+                      for t in step][lo - q * b:hi - q * b]
+            lhs = [acc + scale * u * u for acc, u in zip(lhs, known[lo:])]
+        drawn += [i for i, acc in zip(range(lo, hi), lhs)
+                  if acc <= bound][:count - 1 - len(drawn)]
+        lo = hi
+    # the points drawn over D'_b, and P' = prod D'_b: D_b / D'_b divides
+    # u(i) for every index i of at most k digits
+    lcds = [_power_above(b, drawn[-1] if drawn else 0) for b in bases]
+    lcd = math.prod(lcds)
+    columns = []
+    for D, Dp, known in zip(dens, lcds, units):
+        c, g = w_num * (lcd // Dp), D // Dp
+        columns.append([0] + [c * (known[i] // g) for i in drawn])
+    return columns, w_den * lcd
 
 
 def _limit_denominator(num: int, den: int, max_den: int):
@@ -637,15 +706,13 @@ class _ReducedMap:
         norm2 = sum(w * tk * tk for w, tk in zip(self._lift_weights, T))
         return self._y.piece(norm2, (s * self._lift_den) ** 2).evaluate_scaled(T, s)
 
-    def norms2(self, T, s):
-        """(|y|^2, |pr_U y|^2) for y = f(B_V' t) at t = T / s as integers
-        over one denominator D: (Y, Q, D).  Exact, because the bases are
-        orthogonal.
-        """
-        nums, den = self.evaluate_scaled(T, s)
-        squares = [w * a * a for w, a in zip(self._weights, nums)]
-        Q = sum(squares[len(self.b_v):])
-        return Q + sum(squares[:len(self.b_v)]), Q, self._d2 * den * den
+    def evaluate_walk(self, columns, S):
+        """The coordinates of y = f(B_V' t) along B_V, then B_U, at every
+        point t of a walk (columns, S), grouped by the piece that applies:
+        (one column of numerators per coordinate, den) per group."""
+        return [poly.evaluate_walk(cols, S) for poly, _, cols in _split_walk(
+            self._y.pieces, self._lift_weights, columns,
+            (S * self._lift_den) ** 2)]
 
     def g(self, T, s):
         nums, den = self.evaluate_scaled(T, s)
@@ -683,9 +750,16 @@ def choose_reduction_subspace(p: ReductionProblem, epsilon=(1, 4),
     if len(basis) == p.target_dim:
         return basis
     r_num, r_den = p.bound_radius
-    images = [p.compact_part.evaluate_scaled(X, S) for X, S in
-              _halton_ball_scaled(p.domain_dim, _lowest(2 * r_num, r_den),
-                                  samples)]
+    columns, S = _halton_ball_scaled(p.domain_dim, _lowest(2 * r_num, r_den),
+                                     samples)
+    # the images c(x) of the walk's points, in its order, as (numerators,
+    # denominator)
+    images = [None] * len(columns[0])
+    for piece, indices, cols in _split_walk(
+            p.compact_part.pieces, [1] * p.domain_dim, columns, S * S):
+        nums, den = piece._poly.evaluate_walk(cols, S)
+        for j, values in zip(indices, zip(*nums)):
+            images[j] = values, den
     while len(basis) < p.target_dim:
         rows = _gram_schmidt(basis)
         # squared distances to span(basis) as integer pairs (num, den)
@@ -710,7 +784,8 @@ def verify_miss_condition(p: ReductionProblem, v_basis, *,
 
     The sample points are the origin, then the first _MISS_SAMPLES Halton
     points t in V'-coordinates with |B_V' t| <= 2R (the origin alone when
-    V' = {0}), from the net's sampler.  The distance test is exact:
+    V' = {0}): one walk of the net's sampler, evaluated a column at a time
+    per piece of the compact part.  The distance test is exact:
     dist^2 >= 1/4 rearranges to (|y|^2 + 3/4)^2 >= 4 |pr_perp y|^2 with
     both sides rational, and the bases are orthogonal, so |y|^2 is a
     weighted sum of the squared coordinates of y along B_V and B_U.  The
@@ -723,27 +798,37 @@ def verify_miss_condition(p: ReductionProblem, v_basis, *,
     dim = len(rmap.b_vprime)
     # |x| <= radius is sum_k |L_k|^2 t_k^2 <= (d' radius)^2; and
     # |x|^2 >= (8/9)|t|^2, so |t| <= (9/8)^(1/2) radius < (17/16) radius
-    points = _halton_ball_scaled(dim, _lowest(rmap._lift_den * r_num, r_den),
-                                 _MISS_SAMPLES + 1 if dim else 1,
-                                 rmap._lift_weights,
-                                 _lowest(17 * r_num, 16 * r_den))
+    columns, S = _halton_ball_scaled(
+        dim, _lowest(rmap._lift_den * r_num, r_den),
+        _MISS_SAMPLES + 1, rmap._lift_weights,
+        _lowest(17 * r_num, 16 * r_den))
+    v_dim = len(rmap.b_v)
     ok = True
     worst = None
+    checked = 0
     k = 10 ** 6
-    for T, s in points:
-        # |y|^2 = Y / D and |pr_perp y|^2 = Q / D
-        Y, Q, D = rmap.norms2(T, s)
-        # (|y|^2 + 3/4)^2 < 4 |pr_perp y|^2
-        if (4 * Y + 3 * D) ** 2 < 64 * Q * D:
-            ok = False
-        # rational upper bound upper / k on |pr_perp y| for the distance report
-        upper = math.isqrt((Q * k * k) // D) + 1
-        # |y|^2 + 1 - 2 upper / k
-        dist2_lower = (k * Y + k * D - 2 * upper * D, k * D)
-        if worst is None or dist2_lower[0] * worst[1] < worst[0] * dist2_lower[1]:
-            worst = dist2_lower
+    for nums, den in rmap.evaluate_walk(columns, S):
+        # |y|^2 = Y / D and |pr_perp y|^2 = Q / D at each point of the group
+        D = rmap._d2 * den * den
+        Q = [0] * len(nums[0])
+        for w, col in zip(rmap._weights[v_dim:], nums[v_dim:]):
+            Q = [q + w * a * a for q, a in zip(Q, col)]
+        Y = Q
+        for w, col in zip(rmap._weights[:v_dim], nums[:v_dim]):
+            Y = [y + w * a * a for y, a in zip(Y, col)]
+        # (|y|^2 + 3/4)^2 < 4 |pr_perp y|^2 somewhere
+        ok = ok and all((4 * y + 3 * D) ** 2 >= 64 * q * D
+                        for y, q in zip(Y, Q))
+        # with the rational upper bound upper / k on |pr_perp y|, upper =
+        # isqrt(Q k^2 / D) + 1, the least |y|^2 + 1 - 2 upper / k of the
+        # group, over k D
+        low = k * D + min(k * y - 2 * (math.isqrt(q * k * k // D) + 1) * D
+                          for y, q in zip(Y, Q))
+        if worst is None or low * worst[1] < worst[0] * k * D:
+            worst = (low, k * D)
+        checked += len(Y)
     return MissVerdict(ok=ok, worst_distance_squared=_lowest(*worst),
-                       samples_checked=len(points))
+                       samples_checked=checked)
 
 
 def _sign(q) -> int:
@@ -754,11 +839,13 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     """Restrict f to l^-1(V), project to V, and return the degree of the
     original map, orientation corrections included.
 
-    One reduced map, built once, serves both steps.  The miss condition
-    is checked once on it, before anything else, so a caller need not
-    check it again: a V that fails is refused with a ValueError, and the
-    verdict is returned in the report's ``miss``.  The degree takes the
-    V coordinates of the reduced map's one integer expansion of f(B_V' t).
+    A problem of index other than 0 and a V of dimension over 3 are
+    refused with a ValueError first, before anything is built or sampled.
+    Then one reduced map, built once, serves both steps.  The miss
+    condition is checked once on it, so a caller need not check it again:
+    a V that fails is refused with a ValueError, and the verdict is
+    returned in the report's ``miss``.  The degree takes the V
+    coordinates of the reduced map's one integer expansion of f(B_V' t).
 
     With U = V-perp and U' = (l^-1 V)-perp, f is homotopic rel boundary
     to the product of pr_U l|_U' and the reduced map g = pr_V f|_V', so
@@ -770,6 +857,14 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     pr_U l|_U' is singular.  V = {0} (possible only for invertible l with c
     landing near 0) short-circuits to sign(det l).
     """
+    if p.index() != 0:
+        raise ValueError(
+            f"degree needs index 0, got index {p.index()}"
+        )
+    # the dimension of V, which the rescale of the reduced map keeps
+    v_dim = len(_gram_schmidt(v_basis))
+    if v_dim > 3:
+        raise ValueError(f"reduced dimension {v_dim} exceeds 3")
     rmap = _ReducedMap(p, v_basis)
     miss = verify_miss_condition(p, v_basis, reduced=rmap)
     if not miss.ok:
@@ -777,20 +872,13 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
             "miss condition failed for the chosen subspace; "
             "enlarge --samples or shrink --epsilon"
         )
-    if p.index() != 0:
-        raise ValueError(
-            f"degree needs index 0, got index {p.index()}"
-        )
     b_v, b_vprime = rmap.b_v, rmap.b_vprime
-    v_dim = len(b_v)
     if v_dim == 0:
         d = det(_integer_rows(p.linear_part)[0])
         if d == 0:
             raise ValueError("V = {0} requires invertible linear part")
         return DegreeReport(subspace_V=(), reduced_dim=0,
                             degree=_sign(d), miss=miss)
-    if v_dim > 3:
-        raise ValueError(f"reduced dimension {v_dim} exceeds 3")
     if len(b_vprime) != v_dim:
         raise ValueError(
             "V does not span the target together with im(l)"

@@ -1,11 +1,13 @@
+import functools
 import json
+import math
 import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from problem_factory import (det, gram_schmidt, nullspace, random_problem,
@@ -19,10 +21,16 @@ from swcohom.reduction import (
     PiecewisePolynomialMap,
     PolynomialMap,
     ReductionProblem,
+    _HALTON_ATTEMPTS,
+    _MISS_SAMPLES,
+    _coker_complement,
+    _gram_schmidt,
     _halton_ball_scaled,
-    _halton_point,
-    _radical_inverse,
+    _lowest,
+    _prepared_basis,
     _ReducedMap,
+    _residual2,
+    _split_walk,
     _over_common_denominator,
     builtin_compact,
     choose_reduction_subspace,
@@ -55,10 +63,38 @@ def frs(vectors):
     return [[fr(x) for x in v] for v in vectors]
 
 
+def walk_points(columns, S):
+    # the points of a walk as Fraction vectors; in no variables, the origin
+    return [[F(x, S) for x in X] for X in zip(*columns)] if columns else [[]]
+
+
 def halton_ball(dim, radius, count):
     r = F(radius)
-    return [[F(x, S) for x in X] for X, S in
-            _halton_ball_scaled(dim, (r.numerator, r.denominator), count)]
+    return walk_points(*_halton_ball_scaled(dim, (r.numerator, r.denominator),
+                                            count))
+
+
+@functools.cache
+def unit_coordinates(i):
+    # 2 h_b(i) - 1 for each base, and its square
+    units = [2 * radical_inverse(i, b) - 1 for b in _HALTON_BASES]
+    return units, [u * u for u in units]
+
+
+def fraction_walk(dim, radius, count, weights, half_width):
+    # the origin, then the Halton points w (2 h_b(i) - 1) of the cube with
+    # sum_k w_k x_k^2 <= radius^2, that is sum_k w_k (x_k / w)^2 <= (radius
+    # / w)^2, among i = 1 .. _HALTON_ATTEMPTS, in Fractions, as the oracle
+    # of the walk
+    points = [[F(0)] * dim]
+    bound = (radius / half_width) ** 2
+    for i in range(1, _HALTON_ATTEMPTS + 1):
+        if len(points) >= count:
+            break
+        units, squares = unit_coordinates(i)
+        if sum(wk * q for wk, q in zip(weights, squares)) <= bound:
+            points.append([half_width * u for u in units[:dim]])
+    return points
 
 
 def identity_problem(dim, compact, radius):
@@ -211,6 +247,90 @@ def in_span(basis, v):
     return vec_dot(resid, resid) == 0
 
 
+# -- the point-by-point sampling path, kept as the oracle of the walk -------
+
+
+def per_point_halton(dim, radius, count, weights=None, half_width=None):
+    # the origin, then the Halton points one at a time, each as integers
+    # (X, s) over its own denominator
+    r_num, r_den = radius
+    w_num, w_den = half_width or radius
+    weights = weights or [1] * dim
+    points = [([0] * dim, 1)]
+    i = 1
+    while len(points) < count:
+        if i > _HALTON_ATTEMPTS:
+            raise ArithmeticError(
+                f"sampling budget exceeded: {count} samples asked, and at "
+                f"most {len(points)} can be drawn")
+        h = []
+        for base in _HALTON_BASES[:dim]:
+            num, denom, j = 0, 1, i
+            while j:
+                num, denom, j = num * base + j % base, denom * base, j // base
+            h.append((num, denom))
+        s = math.prod(den for _, den in h)
+        U = [(2 * num - den) * (s // den) for num, den in h]
+        lhs = sum(wk * u * u for wk, u in zip(weights, U))
+        if w_num ** 2 * r_den ** 2 * lhs <= r_num ** 2 * w_den ** 2 * s * s:
+            points.append(([w_num * u for u in U], s * w_den))
+        i += 1
+    return points
+
+
+def per_point_net(p, epsilon=(1, 4), samples=128):
+    # choose_reduction_subspace with every image evaluated at its own point
+    eps_num, eps_den = epsilon
+    basis = _coker_complement(p)
+    if len(basis) == p.target_dim:
+        return basis
+    r_num, r_den = p.bound_radius
+    images = [p.compact_part.evaluate_scaled(X, S) for X, S in
+              per_point_halton(p.domain_dim, _lowest(2 * r_num, r_den),
+                               samples)]
+    while len(basis) < p.target_dim:
+        rows = _gram_schmidt(basis)
+        worst_dist2, worst = (0, 1), None
+        for nums, den in images:
+            r, k = _residual2(rows, nums)
+            dist2 = (r, k * den * den)
+            if dist2[0] * worst_dist2[1] > worst_dist2[0] * dist2[1]:
+                worst_dist2, worst = dist2, (nums, den)
+        if (worst is None or worst_dist2[0] * eps_den ** 2
+                <= eps_num ** 2 * worst_dist2[1]):
+            break
+        nums, den = worst
+        basis = _prepared_basis(basis + [[_lowest(n, den) for n in nums]])
+    return basis
+
+
+def per_point_miss(p, v_basis):
+    # verify_miss_condition with |y|^2 and |pr_perp y|^2 of each point over
+    # its own denominator
+    rmap = _ReducedMap(p, v_basis)
+    r_num, r_den = _lowest(2 * p.bound_radius[0], p.bound_radius[1])
+    dim = len(rmap.b_vprime)
+    points = per_point_halton(dim, _lowest(rmap._lift_den * r_num, r_den),
+                              _MISS_SAMPLES + 1 if dim else 1,
+                              rmap._lift_weights,
+                              _lowest(17 * r_num, 16 * r_den))
+    ok, worst, k = True, None, 10 ** 6
+    for T, s in points:
+        nums, den = rmap.evaluate_scaled(T, s)
+        squares = [w * a * a for w, a in zip(rmap._weights, nums)]
+        Q = sum(squares[len(rmap.b_v):])
+        Y, D = Q + sum(squares[:len(rmap.b_v)]), rmap._d2 * den * den
+        if (4 * Y + 3 * D) ** 2 < 64 * Q * D:
+            ok = False
+        upper = isqrt((Q * k * k) // D) + 1
+        dist2_lower = (k * Y + k * D - 2 * upper * D, k * D)
+        if (worst is None
+                or dist2_lower[0] * worst[1] < worst[0] * dist2_lower[1]):
+            worst = dist2_lower
+    return MissVerdict(ok=ok, worst_distance_squared=_lowest(*worst),
+                       samples_checked=len(points))
+
+
 # -- problem type -------------------------------------------------------
 
 
@@ -361,20 +481,45 @@ def test_halton_ball_matches_fraction_formula():
         assert halton_ball(dim, r, 30) == expected
 
 
-def test_radical_inverse_matches_fraction_oracle():
-    # (num, base^k) is the oracle's Fraction in lowest terms, so the
-    # integer Halton points are the Fraction ones
-    for base in _HALTON_BASES:
-        for i in range(2000):
-            num, denom = _radical_inverse(i, base)
-            assert F(num, denom) == radical_inverse(i, base)
-            assert gcd(num, denom) == 1
-    for i in (1, 7, 100, 1999):
-        for dim in (1, 2, 3, 4):
-            w = F(17, 12)
-            T, s = _halton_point(i, dim, (w.numerator, w.denominator))
-            assert [F(t, s) for t in T] == [
-                w * (2 * radical_inverse(i, b) - 1) for b in _HALTON_BASES[:dim]]
+POSITIVE = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), POSITIVE,
+       st.fractions(min_value=F(1, 2), max_value=F(5, 4), max_denominator=12),
+       st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       st.integers(1, 300))
+@example(4, F(1), F(1), [1, 1, 1, 1], 300)
+@example(3, F(3, 2), F(17, 16), [4, 1, 2, 1], 161)
+def test_walk_matches_fraction_oracle(dim, radius, ratio, weights, count):
+    # the walk's points are the Fraction oracle's, in order and over one
+    # S; a count past the candidates is the budget error with what can be
+    # drawn
+    half_width = radius * ratio
+    weights = weights[:dim]
+    expected = fraction_walk(dim, radius, count, weights, half_width)
+    pairs = [(q.numerator, q.denominator) for q in (radius, half_width)]
+    if len(expected) < count:
+        with pytest.raises(ArithmeticError,
+                           match=f"at most {len(expected)} can be drawn"):
+            _halton_ball_scaled(dim, pairs[0], count, weights, pairs[1])
+        return
+    columns, S = _halton_ball_scaled(dim, pairs[0], count, weights, pairs[1])
+    assert type(S) is int and S > 0 and len(columns) == dim
+    assert all(type(x) is int for col in columns for x in col)
+    assert walk_points(columns, S) == expected
+
+
+@pytest.mark.parametrize("dim, most", [(1, 8193), (2, 6435), (3, 4287),
+                                       (4, 2529)])
+def test_sampling_budget_in_every_dimension(dim, most):
+    # the largest counts README states; one more is the budget error
+    columns, S = _halton_ball_scaled(dim, (2, 1), most)
+    assert [len(col) for col in columns] == [most] * dim
+    with pytest.raises(ArithmeticError,
+                       match=f"sampling budget exceeded: {most + 1} samples "
+                             f"asked, and at most {most} can be drawn"):
+        _halton_ball_scaled(dim, (2, 1), most + 1)
 
 
 # -- bases ----------------------------------------------------------------
@@ -682,6 +827,123 @@ def test_substitute_matches_direct_evaluation(case):
     assert q.den > 0 and gcd(q.den, *coeffs) == 1 and all(coeffs)
 
 
+def capped(exponents, total):
+    # the exponents cut down, left to right, to a total of at most `total`
+    out = []
+    for e in exponents:
+        out.append(min(e, total - sum(out)))
+    return tuple(out)
+
+
+@st.composite
+def walks(draw):
+    # an integer map over one denominator in 1-4 variables, of degree at
+    # most 6, with repeated exponent tuples and zero coefficients, and a
+    # walk of up to 12 points over one S
+    n = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(
+        lambda e: capped(e, 6))
+    pool = draw(st.lists(exponents, min_size=1, max_size=6))
+    den = draw(st.integers(1, 12))
+    terms = st.tuples(st.integers(-9, 9).map(lambda c: F(c, den)),
+                      st.sampled_from(pool))
+    components = draw(st.lists(st.lists(terms, max_size=8),
+                               min_size=1, max_size=4))
+    size = draw(st.integers(1, 12))
+    columns = draw(st.lists(st.lists(st.integers(-60, 60), min_size=size,
+                                     max_size=size), min_size=n, max_size=n))
+    return PolynomialMap(n, components), columns, draw(st.integers(1, 40))
+
+
+@given(walks())
+def test_walk_evaluation_matches_point_evaluation(case):
+    # column by column, the walk's values are evaluate_scaled's at each
+    # point, numerator for numerator over the same denominator
+    m, columns, S = case
+    nums, den = m._poly.evaluate_walk(columns, S)
+    assert len(nums) == len(m.components)
+    for j, X in enumerate(zip(*columns)):
+        assert (m._poly.evaluate_scaled(list(X), S)
+                == ([col[j] for col in nums], den))
+
+
+def three_pieces(p):
+    # random_problem's two pieces with a third, constant, piece inside
+    (t, inner), (_, outer) = p.compact_part.pieces
+    dim = p.domain_dim
+    ones = PolynomialMap(dim, [[(F(1), (0,) * dim)]] * dim)
+    pieces = [(fr(t) / 4, ones), (t, inner), (None, outer)]
+    return ReductionProblem(dim, dim, p.linear_part,
+                            PiecewisePolynomialMap(pieces), p.bound_radius)
+
+
+def walk_oracle_problems(family):
+    rng = random.Random(f"walk:{family}")
+    if family == "random":
+        return [random_problem(rng, dim)[0]
+                for dim in (1, 2, 3) for _ in range(3)]
+    if family == "pieces":
+        return [three_pieces(random_problem(rng, dim)[0])
+                for dim in (1, 2, 3) for _ in range(2)]
+    return [skewed_problem(random.Random(f"{SKEWED_SEED}:{dim}:{m}:{eps}:{i}"),
+                           dim, m, eps)[0]
+            for dim in (2, 3) for eps in (F(0), F(1, 4)) for m in (1, 2, 3, 4)
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("family", ["random", "pieces", "skewed"])
+def test_walk_paths_match_point_by_point_loops(family):
+    # the net and the miss check over one walk give the bases and the
+    # verdicts of the point-by-point loops
+    problems = walk_oracle_problems(family)
+    assert len(problems) == {"random": 9, "pieces": 6, "skewed": 48}[family]
+    for p in problems:
+        dim = p.target_dim
+        full = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        V = choose_reduction_subspace(p)
+        assert V == per_point_net(p)
+        assert choose_reduction_subspace(p, F(1, 8), 40) == per_point_net(
+            p, (1, 8), 40)
+        for W in (V, full[:1], full):
+            assert verify_miss_condition(p, W) == per_point_miss(p, W)
+
+
+def test_net_ties_go_to_the_first_point_of_the_walk():
+    # images at distance 1 from span(e2) in two pieces: (1, 0) on 2 <
+    # |x|^2 <= 5 and (-1, 5) outside, where the walk's first point with
+    # |x|^2 > 2, (-2, 4/3), lies; the net adjoins that point's image, as
+    # the point-by-point loop does, not the first such piece's
+    def constant(v):
+        return PolynomialMap(2, [[(F(c), (0, 0))] for c in v])
+
+    compact = PiecewisePolynomialMap([(F(2), constant([0, 0])),
+                                      (F(5), constant([1, 0])),
+                                      (None, constant([-1, 5]))])
+    p = ReductionProblem(2, 2, [[1, 0], [0, 0]], compact, 2)
+    V = choose_reduction_subspace(p)
+    assert V == per_point_net(p)
+    assert [fr(x) for x in V[1]] == [-1, 0]
+
+
+def test_split_walk_follows_piece():
+    # each point goes to the piece piece() picks, and a point no piece
+    # covers is piece()'s error
+    a = PolynomialMap(1, [[(F(1), (0,))]])
+    b = PolynomialMap(1, [[(F(2), (0,))]])
+    m = PiecewisePolynomialMap([(F(1, 4), a), (F(4), b)])
+    columns = [[0, 1, -2, 3, 4, 1]]
+    groups = _split_walk(m.pieces, [1], columns, 4)
+    assert groups == [(a, [0, 1, 5], [[0, 1, 1]]),
+                      (b, [2, 3, 4], [[-2, 3, 4]])]
+    for poly, indices, _ in groups:
+        assert all(m.piece(columns[0][j] ** 2, 4) is poly for j in indices)
+    with pytest.raises(ValueError) as uncovered:
+        _split_walk(m.pieces, [1], [[0, 5, 7]], 4)
+    with pytest.raises(ValueError) as by_piece:
+        m.piece(25, 4)
+    assert str(uncovered.value) == str(by_piece.value)
+
+
 def test_piecewise_threshold_is_inclusive():
     inside = PolynomialMap(2, [[(F(1), (0, 0))], [(F(2), (1, 0))]])
     outside = PolynomialMap(2, [[(F(-1), (0, 0))], [(F(3), (0, 1))]])
@@ -757,6 +1019,38 @@ def test_degree_invariant_across_subspaces():
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     ]
     assert {reduce_and_degree(p, V).degree for V in subspaces} == {-1}
+
+
+INDEX_ONE = ReductionProblem(3, 2, [[1, 0, 0], [0, 1, 0]],
+                             builtin_compact("zero", 3, target_dim=2), 2)
+# index 1, and f(0) = e1 on the unit sphere of V-perp for V = {0}
+INDEX_ONE_MISSED = ReductionProblem(
+    3, 2, [[1, 0, 0], [0, 1, 0]],
+    builtin_compact("constant", 3, {"vector": [1, 0]}), 2)
+WIDE = ReductionProblem(
+    4, 4, [[0] * 4 for _ in range(4)],
+    builtin_compact("constant", 4, {"vector": [3, 0, 0, 0]}), 1)
+
+
+@pytest.mark.parametrize("p, V, message", [
+    (INDEX_ONE, [[1, 0]], "degree needs index 0, got index 1"),
+    (INDEX_ONE_MISSED, [], "degree needs index 0, got index 1"),
+    (WIDE, [[int(i == j) for j in range(4)] for i in range(4)],
+     "reduced dimension 4 exceeds 3"),
+], ids=["index", "index-and-miss", "dimension"])
+def test_refusals_draw_no_sample(monkeypatch, p, V, message):
+    # both refusals come before the reduced map is built or sampled, and
+    # before the miss check that the second input would fail too
+    if p is INDEX_ONE_MISSED:
+        assert not verify_miss_condition(p, V).ok
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reduced map was built or a sample drawn")
+
+    monkeypatch.setattr(reduction, "_halton_ball_scaled", unreachable)
+    monkeypatch.setattr(reduction, "_ReducedMap", unreachable)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reduce_and_degree(p, V)
 
 
 def test_index_must_vanish():
