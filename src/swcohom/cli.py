@@ -231,20 +231,18 @@ def _run_reduce(args):
 
 
 def _run_chamber(args):
-    from fractions import Fraction
-
-    from .chamber import make_path, signed_preimage_count, wall_crossing_jump
-    from .rational import format_rational
-    angles = [Fraction(*_rational_option("--angles", part))
+    from .chamber import _signed_count, make_path, wall_crossing_jump
+    from .rational import _format_pair
+    angles = [_rational_option("--angles", part)
               for part in args.angles.split(",")]
     path = make_path(args.n)
     counts = []
     for alpha in angles:
-        c = signed_preimage_count(path, alpha)
+        chamber, count = _signed_count(path, alpha)
         counts.append({
-            "point_angle": format_rational(c.point_angle),
-            "chamber": c.chamber,
-            "signed_count": c.signed_count,
+            "point_angle": _format_pair(*alpha),
+            "chamber": chamber,
+            "signed_count": count,
         })
     return {
         "schema": "swcohom/chamber/1",

@@ -10,8 +10,8 @@ keys of its format, no other.
 Inside the package a rational is often a pair (numerator, denominator)
 of ints in lowest terms with a positive denominator, the form a
 Fraction carries.  Importing this module loads no ``fractions``: only
-the functions that build a Fraction import it, and _pair tells a
-Fraction by the class of the loaded module, so a job that computes in
+the functions that build a Fraction import it, and _exact_pair tells
+a Fraction by the class of the loaded module, so a job that computes in
 pairs alone never pays for it.
 """
 
@@ -108,7 +108,17 @@ def _exact(x, what):
 
 def _pair(x, what):
     """An int, a Fraction or a pair of ints with a nonzero denominator,
-    as a pair in lowest terms with a positive denominator.
+    as a pair in lowest terms with a positive denominator."""
+    if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
+        if not x[1]:
+            raise ZeroDivisionError(f"{what} has a zero denominator: {x!r}")
+        return _lowest(*x)
+    return _exact_pair(x, what)
+
+
+def _exact_pair(x, what):
+    """An int or a Fraction as a pair in lowest terms with a positive
+    denominator.
 
     A Fraction is told by the class of the loaded ``fractions`` module:
     with that module not loaded, nothing is a Fraction, and nothing is
@@ -117,10 +127,6 @@ def _pair(x, what):
     kind = type(x)
     if kind is int:
         return x, 1
-    if kind is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
-        if not x[1]:
-            raise ZeroDivisionError(f"{what} has a zero denominator: {x!r}")
-        return _lowest(*x)
     fractions = sys.modules.get("fractions")
     if fractions is not None and kind is fractions.Fraction:
         return x.numerator, x.denominator

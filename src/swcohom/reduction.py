@@ -504,9 +504,11 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
     inverse h_b(i) in base b, and 2 h_b(i) - 1 is kept as an integer
     numerator u(i) over D_b = b^K, K the base-b digits of
     _HALTON_ATTEMPTS: h_b(q b + r) = (r + h_b(q)) / b gives u(q b + r) =
-    (u(q) + (2 r + 1 - b) D_b) / b.  The walk takes the indices L <= i <
-    2L a level at a time, whose q all lie below L, and over P = prod D_b
-    its ball test is one integer comparison per candidate, sum_k w_num^2
+    (u(q) + (2 r + 1 - b) D_b) / b.  The walk takes the indices lo <= i <
+    hi a step at a time, hi <= 2 lo so that every q lies below lo, and
+    ends a step where the acceptance so far expects the count to be
+    reached (at 2 lo while nothing is drawn).  Over P = prod D_b its
+    ball test is one integer comparison per candidate, sum_k w_num^2
     r_den^2 w_k (P / D_b)^2 u(i)^2 <= r_num^2 w_den^2 P^2.  The points
     drawn come back over S = w_den prod D'_b, D'_b = b^k for the k base-b
     digits of the last index drawn, the least common denominator of their
@@ -535,7 +537,11 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
             raise ArithmeticError(
                 f"sampling budget exceeded: {count} samples asked, and at "
                 f"most {len(drawn) + 1} can be drawn")
-        hi = min(2 * lo, _HALTON_ATTEMPTS + 1)
+        # a step ends where the acceptance so far expects the count to be
+        # reached, and at 2 lo, so that every u(i // b) it needs is known
+        need = count - 1 - len(drawn)
+        hi = min(lo + need * (lo - 1) // len(drawn) + 8 if drawn else 2 * lo,
+                 2 * lo, _HALTON_ATTEMPTS + 1)
         lhs = [0] * (hi - lo)
         for b, known, step, scale in zip(bases, units, steps, scales):
             q = lo // b
@@ -543,7 +549,7 @@ def _halton_ball_scaled(dim: int, radius, count: int, weights=None,
                       for t in step][lo - q * b:hi - q * b]
             lhs = [acc + scale * u * u for acc, u in zip(lhs, known[lo:])]
         drawn += [i for i, acc in zip(range(lo, hi), lhs)
-                  if acc <= bound][:count - 1 - len(drawn)]
+                  if acc <= bound][:need]
         lo = hi
     # the points drawn over D'_b, and P' = prod D'_b: D_b / D'_b divides
     # u(i) for every index i of at most k digits

@@ -1,14 +1,18 @@
 """Chamber counts and the wall-crossing jump."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swcohom.chamber import (
     FIRST_HALF,
     SECOND_HALF,
     LatitudePath,
+    _signed_count,
     make_path,
     signed_preimage_count,
     wall_crossing_jump,
@@ -146,8 +150,9 @@ def test_path_validation():
         make_path(2, [(0, 0), (1, 3)])          # class mismatch
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2", "0.5", True],
-                         ids=["float", "rational-string", "decimal-string", "bool"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", "0.5", True, (1, 2)],
+                         ids=["float", "rational-string", "decimal-string", "bool",
+                              "tuple"])
 def test_angles_and_times_are_exact(bad):
     # a float would stand for some other rational (0.3 is
     # 5404319552844595/18014398509481984) and a string for a parse, so an
@@ -160,3 +165,86 @@ def test_angles_and_times_are_exact(bad):
         LatitudePath([(0, 0), (bad, 1), (1, 3)])
     with pytest.raises(TypeError, match="^a breakpoint angle must be"):
         make_path(1, [(0, 0), (Fraction(1, 2), bad), (1, 3)])
+
+
+ANGLES = st.one_of(st.integers(-12, 12),
+                   st.fractions(min_value=-12, max_value=12, max_denominator=12))
+
+
+@st.composite
+def pl_paths(draw):
+    # a PL path from any start angle, with Fraction breakpoints between
+    # its pinned end times and an odd total winding of either sign
+    n = draw(st.integers(0, 4))
+    sign = draw(st.sampled_from([1, -1]))
+    start = draw(ANGLES)
+    times = draw(st.lists(st.fractions(min_value=0, max_value=1,
+                                       max_denominator=60),
+                          max_size=4, unique=True))
+    times = sorted(t for t in times if 0 < t < 1)
+    points = [(0, start)]
+    points += [(t, draw(ANGLES)) for t in times]
+    points.append((1, start + sign * (2 * n + 1)))
+    return LatitudePath(points)
+
+
+@settings(deadline=None)
+# ends, and a turn, exactly on a level of {alpha + 2m}
+@example(LatitudePath([(0, Fraction(1, 2)), (1, Fraction(7, 2))]),
+         Fraction(1, 2))
+@example(LatitudePath([(0, Fraction(-3, 2)), (Fraction(1, 3), Fraction(5, 2)),
+                       (1, Fraction(-9, 2))]), Fraction(1, 2))
+@given(pl_paths(),
+       st.one_of(st.integers(-3, 4),
+                 st.fractions(min_value=-3, max_value=4, max_denominator=60)))
+def test_pair_count_matches_oracle(path, alpha):
+    # the integer pair core against the Fraction brute force, and the
+    # pole and out-of-range message with the angle as str(Fraction) writes it
+    pair = (Fraction(alpha).numerator, Fraction(alpha).denominator)
+    if 0 < alpha < 2 and alpha != 1:
+        chamber = FIRST_HALF if alpha < 1 else SECOND_HALF
+        assert _signed_count(path, pair) == (chamber, oracle_count(path, alpha))
+        c = signed_preimage_count(path, alpha)
+        assert c == (alpha, chamber, oracle_count(path, alpha))
+    else:
+        message = (f"^point angle {re.escape(str(Fraction(alpha)))} pi is a "
+                   "pole or out of range$")
+        with pytest.raises(ValueError, match=message):
+            _signed_count(path, pair)
+        with pytest.raises(ValueError, match=message):
+            signed_preimage_count(path, alpha)
+    assert wall_crossing_jump(path) == (oracle_count(path, Fraction(1, 2))
+                                        - oracle_count(path, Fraction(3, 2)))
+
+
+def test_public_values_are_fractions():
+    # the path counts on integer pairs, and hands back Fractions
+    path = make_path(1, [(0, 0), (Fraction(1, 2), Fraction(5, 4)), (1, 3)])
+    assert path.breakpoints == ((0, 0), (Fraction(1, 2), Fraction(5, 4)),
+                                (1, 3))
+    assert {type(x) for point in path.breakpoints for x in point} == {Fraction}
+    assert type(path.total_winding) is Fraction
+    assert type(path.reversed().total_winding) is Fraction
+    assert (path.total_winding, path.reversed().total_winding) == (3, -3)
+    count = signed_preimage_count(path, Fraction(1, 2))
+    assert type(count.point_angle) is Fraction
+    assert repr(path) == (
+        "LatitudePath([(Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(1, 2), Fraction(5, 4)), (Fraction(1, 1), Fraction(3, 1))])")
+    assert repr(path.reversed()) == (
+        "LatitudePath([(Fraction(0, 1), Fraction(3, 1)), "
+        "(Fraction(1, 2), Fraction(5, 4)), (Fraction(1, 1), Fraction(0, 1))])")
+    assert repr(make_path(0)) == (
+        "LatitudePath([(Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(1, 1), Fraction(1, 1))])")
+    with pytest.raises(AttributeError, match="^LatitudePath is immutable$"):
+        path.breakpoints = ()
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(3, 1), 2.5, "3"],
+                         ids=["bool", "fraction", "float", "string"])
+def test_class_label_is_an_int(bad):
+    # a bool or an integral Fraction is refused, never read as its value
+    with pytest.raises(ValueError, match=f"^n must be an integer, got "
+                                         f"{type(bad).__name__} "):
+        make_path(bad)

@@ -1207,7 +1207,7 @@ _INDEX_ONE_PROBLEM = {
     (_RUN_DOMAIN_ERROR, ["bound", "--d", "2", "--k", "4"],
      _DIVISIBILITY_ABSENT),
     (_RUN, ["chamber", "--n", "3", "--angles", "1/3,3/2"],
-     _PARSER | {f"swcohom.{m}" for m in (
+     _PARSER | _FRACTIONS | {f"swcohom.{m}" for m in (
          "lattices", "reduction", "degree", "divisibility", "series")}),
     (_RUN, ["reduce", "--problem", "{problem}"], _REDUCE_ABSENT),
     (_RUN, ["reduce", "--problem", "{zero_linear}"], _REDUCE_ABSENT),
