@@ -26,9 +26,7 @@ make_path takes n <= MAX_N = 10^6, checked before any work; a larger n
 is an ArithmeticError.  Every count then has at most seven digits.
 """
 
-from collections import namedtuple
-
-from .rational import _exact_pair, _format_pair, _lowest, _strict_int
+from .rational import _exact_pair, _format_pair, _lowest, _Record, _strict_int
 
 MAX_N = 10 ** 6
 
@@ -125,7 +123,12 @@ class LatitudePath:
 
 # point_angle in units of pi, in (0, 2) minus {1}; chamber is FIRST_HALF
 # or SECOND_HALF
-ChamberCount = namedtuple("ChamberCount", "point_angle chamber signed_count")
+class ChamberCount(_Record):
+    __slots__ = ()
+    _fields = ("point_angle", "chamber", "signed_count")
+
+    def __new__(cls, point_angle, chamber, signed_count):
+        return tuple.__new__(cls, (point_angle, chamber, signed_count))
 
 
 def make_path(n: int, breakpoints=None) -> LatitudePath:

@@ -64,16 +64,16 @@ def _decode(path, from_json, what):
         raise CLIError(2, "parse", f"bad {what}: {exc}") from exc
 
 
-def _rational_option(flag, text):
+def _rational_option(name, flag, text):
     # a rational option reaches its handler as a string and is parsed
     # there into a (numerator, denominator) pair, so that no subcommand
-    # imports fractions to read one; the error keeps the reason
-    # parse_rational gives
+    # imports fractions to read one; the error names the subcommand, as
+    # an integer option's does, and keeps the reason parse_rational gives
     from .rational import _parse_pair
     try:
         return _parse_pair(text)
     except ValueError as exc:
-        raise CLIError(2, "parse", f"bad {flag}: {exc}") from exc
+        raise CLIError(2, "parse", f"{name}: bad {flag}: {exc}") from exc
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -202,7 +202,7 @@ def _run_reduce(args):
         choose_reduction_subspace,
         reduce_and_degree,
     )
-    epsilon = _rational_option("--epsilon", args.epsilon)
+    epsilon = _rational_option("reduce", "--epsilon", args.epsilon)
     if args.samples < 1:
         raise CLIError(2, "parse",
                        f"bad --samples: need at least 1, got {args.samples}")
@@ -233,7 +233,7 @@ def _run_reduce(args):
 def _run_chamber(args):
     from .chamber import _signed_count, make_path, wall_crossing_jump
     from .rational import _format_pair
-    angles = [_rational_option("--angles", part)
+    angles = [_rational_option("chamber", "--angles", part)
               for part in args.angles.split(",")]
     path = make_path(args.n)
     counts = []

@@ -22,8 +22,9 @@ terms; ``series.taylor_coefficients_a`` is a Fraction view of it, and
 the module itself loads no ``fractions``.
 """
 
-from collections import namedtuple
 from math import gcd, lcm
+
+from .rational import _Record
 
 MAX_D = 1000
 
@@ -36,10 +37,7 @@ __all__ = [
 ]
 
 
-class DivisibilityReport(namedtuple(
-        "DivisibilityReport",
-        "d k p kappa a_coeffs denominators lower_bound lemma_cokernel_order sharp",
-        defaults=(None, None))):
+class DivisibilityReport(_Record):
     """Everything the divisibility bound produces for one pair (d, k).
 
     lower_bound = lcm of the denominators of a(p, 0..kappa) with
@@ -51,6 +49,13 @@ class DivisibilityReport(namedtuple(
     """
 
     __slots__ = ()
+    _fields = ("d", "k", "p", "kappa", "a_coeffs", "denominators",
+               "lower_bound", "lemma_cokernel_order", "sharp")
+
+    def __new__(cls, d, k, p, kappa, a_coeffs, denominators, lower_bound,
+                lemma_cokernel_order=None, sharp=None):
+        return tuple.__new__(cls, (d, k, p, kappa, a_coeffs, denominators,
+                                   lower_bound, lemma_cokernel_order, sharp))
 
 
 def hurewicz_kernel_order(d: int, k: int) -> int:

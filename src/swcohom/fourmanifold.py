@@ -14,7 +14,7 @@ expected_moduli_dimension takes |d| and b_plus up to MAX_DIM_INPUT =
 10^6, checked before any work; a larger one is an ArithmeticError.
 """
 
-from collections import namedtuple
+from .rational import _Record
 
 MAX_DIM_INPUT = 10 ** 6
 
@@ -29,16 +29,17 @@ __all__ = [
 ]
 
 
-class FourManifoldData(namedtuple("FourManifoldData", "b1 b_plus b_minus c_squared")):
+class FourManifoldData(_Record):
     """Betti data plus the self-intersection of the spin^c determinant class."""
 
     __slots__ = ()
+    _fields = ("b1", "b_plus", "b_minus", "c_squared")
 
     def __new__(cls, b1, b_plus, b_minus, c_squared):
         for name, value in (("b1", b1), ("b_plus", b_plus), ("b_minus", b_minus)):
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        return super().__new__(cls, b1, b_plus, b_minus, c_squared)
+        return tuple.__new__(cls, (b1, b_plus, b_minus, c_squared))
 
     @property
     def signature(self) -> int:
@@ -46,7 +47,12 @@ class FourManifoldData(namedtuple("FourManifoldData", "b1 b_plus b_minus c_squar
 
 
 # Index k = (-c^2 - b2)/8 and whether the inequality -c^2 >= b2 holds.
-DonaldsonVerdict = namedtuple("DonaldsonVerdict", "k admissible")
+class DonaldsonVerdict(_Record):
+    __slots__ = ()
+    _fields = ("k", "admissible")
+
+    def __new__(cls, k, admissible):
+        return tuple.__new__(cls, (k, admissible))
 
 
 def dirac_index_d(c_squared: int, signature: int) -> int:

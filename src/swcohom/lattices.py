@@ -24,12 +24,11 @@ of b bits, as a node's integer work grows with b; and a form of rank
 over MAX_RANK is refused before its elimination.
 """
 
-from collections import namedtuple
 from itertools import chain
 from math import isqrt, lcm
 
 from .linalg import _bareiss, _kernel_vector
-from .rational import _keys, _strict_int
+from .rational import _keys, _Record, _strict_int
 
 __all__ = [
     "GramMatrix",
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 
-class GramMatrix(namedtuple("GramMatrix", "n entries")):
+class GramMatrix(_Record):
     """Integer Gram matrix of a rank-n bilinear form.
 
     The constructor checks only shape and integrality; symmetry,
@@ -57,6 +56,7 @@ class GramMatrix(namedtuple("GramMatrix", "n entries")):
     """
 
     __slots__ = ()
+    _fields = ("n", "entries")
 
     def __new__(cls, entries):
         if (not isinstance(entries, (list, tuple)) or not entries
@@ -65,7 +65,7 @@ class GramMatrix(namedtuple("GramMatrix", "n entries")):
             raise ValueError("entries must form a nonempty square matrix")
         rows = tuple(tuple(_strict_int(x, "an entry") for x in row)
                      for row in entries)
-        return super().__new__(cls, len(rows), rows)
+        return tuple.__new__(cls, (len(rows), rows))
 
     @classmethod
     def from_json(cls, doc) -> "GramMatrix":
@@ -82,25 +82,39 @@ class GramMatrix(namedtuple("GramMatrix", "n entries")):
         return [list(row) for row in self.entries]
 
 
-class LatticeVector(namedtuple("LatticeVector", "coords")):
+class LatticeVector(_Record):
     """Coordinates in the basis of a form: a list or tuple of ints, like a
     GramMatrix row; a float, bool or string is refused, never truncated.
     """
 
     __slots__ = ()
+    _fields = ("coords",)
 
     def __new__(cls, coords):
         if not isinstance(coords, (list, tuple)):
             raise ValueError(f"coords must be a list or tuple, got {coords!r}")
-        return super().__new__(cls, tuple(_strict_int(x, "a coordinate") for x in coords))
+        return tuple.__new__(
+            cls, (tuple(_strict_int(x, "a coordinate") for x in coords),))
 
     def to_json(self) -> list[int]:
         return list(self.coords)
 
 
-ValidationResult = namedtuple("ValidationResult", "valid failure", defaults=(None,))
-AdmissibilityVerdict = namedtuple("AdmissibilityVerdict",
-                                  "admissible min_norm witness basis")
+class ValidationResult(_Record):
+    __slots__ = ()
+    _fields = ("valid", "failure")
+
+    def __new__(cls, valid, failure=None):
+        return tuple.__new__(cls, (valid, failure))
+
+
+class AdmissibilityVerdict(_Record):
+    __slots__ = ()
+    _fields = ("admissible", "min_norm", "witness", "basis")
+
+    def __new__(cls, admissible, min_norm, witness, basis):
+        return tuple.__new__(cls, (admissible, min_norm, witness, basis))
+
 
 # coordinate values one walk may try before it gives up, on forms whose
 # scaled integers stay within 511 bits; each costs more on larger ones

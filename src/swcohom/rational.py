@@ -13,12 +13,45 @@ Fraction carries.  Importing this module loads no ``fractions``: only
 the functions that build a Fraction import it, and _exact_pair tells
 a Fraction by the class of the loaded module, so a job that computes in
 pairs alone never pays for it.
+
+_Record is the base of every record type of the package.
 """
 
 import sys
 from math import gcd
+from operator import itemgetter
 
 __all__ = ["parse_rational", "format_rational"]
+
+
+class _Record(tuple):
+    """A tuple whose items are also read by name: the base of every
+    result and input record of the package.
+
+    A record is a class statement that states its ``_fields`` and
+    ``__slots__ = ()`` and writes its own ``__new__``, with its real
+    parameters and defaults, returning ``tuple.__new__(cls, (...))``.
+    Defining one compiles no source at run time: the class statement is
+    compiled with its module.  The base gives each field a read-only
+    property, the repr ``Name(field=value, ...)``, ``__match_args__``,
+    and the arguments that copy and pickle rebuild a record from.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+        cls.__match_args__ = cls._fields
+
+    def __repr__(self):
+        items = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({items})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 def parse_rational(text: str):

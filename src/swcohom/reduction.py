@@ -40,12 +40,11 @@ point, which the degree still calls.
 """
 
 import math
-from collections import namedtuple
 
 from .degree import brouwer_degree
 from .linalg import det, nullspace, transpose
 from .rational import (_expect, _format_pair, _keys, _lowest, _pair,
-                       _parse_pair, _strict_int)
+                       _parse_pair, _Record, _strict_int)
 
 __all__ = [
     "PolynomialMap",
@@ -371,9 +370,7 @@ def _check_dimensions(domain_dim, target_dim):
         raise ValueError("dimensions must be between 1 and 4")
 
 
-class ReductionProblem(namedtuple(
-        "ReductionProblem",
-        "domain_dim target_dim linear_part compact_part bound_radius")):
+class ReductionProblem(_Record):
     """f = linear_part + compact_part on R^domain_dim -> R^target_dim,
     with the author's certificate that |f(x)| >= 1 once |x| >= bound_radius.
     Every number given, here and in the compact part, is an int, a
@@ -388,6 +385,8 @@ class ReductionProblem(namedtuple(
     """
 
     __slots__ = ()
+    _fields = ("domain_dim", "target_dim", "linear_part", "compact_part",
+               "bound_radius")
 
     def __new__(cls, domain_dim, target_dim, linear_part, compact_part,
                 bound_radius):
@@ -420,7 +419,8 @@ class ReductionProblem(namedtuple(
         if not any(t is None or t[0] * r[1] ** 2 >= 4 * r[0] ** 2 * t[1]
                    for t, _ in compact_part.pieces):
             raise ValueError("compact_part does not cover the ball of radius 2R")
-        return super().__new__(cls, domain_dim, target_dim, rows, compact_part, r)
+        return tuple.__new__(
+            cls, (domain_dim, target_dim, rows, compact_part, r))
 
     def f(self, x):
         """f at x, coordinates as _pair reads them, as Fractions: a hook
@@ -467,12 +467,28 @@ class ReductionProblem(namedtuple(
         }
 
 
-DegreeReport = namedtuple(
-    "DegreeReport", "subspace_V reduced_dim degree miss")
-MissVerdict = namedtuple(
-    "MissVerdict", "ok worst_distance_squared samples_checked")
-StabilityVerdict = namedtuple(
-    "StabilityVerdict", "degree_small degree_large equal")
+class DegreeReport(_Record):
+    __slots__ = ()
+    _fields = ("subspace_V", "reduced_dim", "degree", "miss")
+
+    def __new__(cls, subspace_V, reduced_dim, degree, miss):
+        return tuple.__new__(cls, (subspace_V, reduced_dim, degree, miss))
+
+
+class MissVerdict(_Record):
+    __slots__ = ()
+    _fields = ("ok", "worst_distance_squared", "samples_checked")
+
+    def __new__(cls, ok, worst_distance_squared, samples_checked):
+        return tuple.__new__(cls, (ok, worst_distance_squared, samples_checked))
+
+
+class StabilityVerdict(_Record):
+    __slots__ = ()
+    _fields = ("degree_small", "degree_large", "equal")
+
+    def __new__(cls, degree_small, degree_large, equal):
+        return tuple.__new__(cls, (degree_small, degree_large, equal))
 
 
 # -- sampling and bases -----------------------------------------------------
@@ -930,9 +946,19 @@ def stability_check(p: ReductionProblem, v_basis, w_basis) -> StabilityVerdict:
 # -- the properness counterexample demo ----------------------------------------
 
 
-ProperDemoReport = namedtuple("ProperDemoReport", (
-    "N literal_spike_norms literal_unit_ball_hits corrected_preimage_norms "
-    "corrected_value_norms literal_found_unbounded corrected_found_unbounded"))
+class ProperDemoReport(_Record):
+    __slots__ = ()
+    _fields = ("N", "literal_spike_norms", "literal_unit_ball_hits",
+               "corrected_preimage_norms", "corrected_value_norms",
+               "literal_found_unbounded", "corrected_found_unbounded")
+
+    def __new__(cls, N, literal_spike_norms, literal_unit_ball_hits,
+                corrected_preimage_norms, corrected_value_norms,
+                literal_found_unbounded, corrected_found_unbounded):
+        return tuple.__new__(cls, (
+            N, literal_spike_norms, literal_unit_ball_hits,
+            corrected_preimage_norms, corrected_value_norms,
+            literal_found_unbounded, corrected_found_unbounded))
 
 
 def _bump(norm2):

@@ -482,7 +482,8 @@ def test_bad_input_is_one_parse_error(capsys, tmp_path, request, argv, files):
     if request.node.callspec.id == "reduce-extra-key":
         assert message.endswith("takes no key 'extra_key'")
     if request.node.callspec.id.startswith("angles-"):
-        assert message.startswith('bad --angles: not an exact rational "num/den"')
+        assert message.startswith(
+            'chamber: bad --angles: not an exact rational "num/den"')
     if request.node.callspec.id in _OPTION_MESSAGES:
         assert message.startswith(_OPTION_MESSAGES[request.node.callspec.id])
 
@@ -515,8 +516,10 @@ _OPTION_MESSAGES = {
     "option-repeated": "index: --c2 given twice",
     "option-equals-form": "index: unknown option '--c2=16'",
     "option-huge-integer": "index: bad --c2: an integer of 5000 characters",
-    "epsilon-huge-integer": "bad --epsilon: an integer of 5000 characters",
-    "chamber-huge-angle": "bad --angles: an integer of 5000 characters",
+    "epsilon-huge-integer": "reduce: bad --epsilon: an integer of 5000 "
+    "characters",
+    "chamber-huge-angle": "chamber: bad --angles: an integer of 5000 "
+    "characters",
     "reduce-huge-radius": "bad reduction problem: an integer of 5000 "
     "characters",
     "usage-non-integer-option": "bound: bad --d: not an integer: 'x'",
@@ -1144,6 +1147,14 @@ def test_report_to_a_closed_pipe_is_one_io_error(argv):
 # third-party modules before it
 _CHILD = ("import sys; before = set(sys.modules); {}; "
           "print('\\n'.join(sorted(set(sys.modules) - before)), file=sys.stderr)")
+# a child process runs one statement and then prints, on standard error,
+# the file name of each source it compiled other than a module's .py
+# file, which an import compiles when it finds no cached bytecode
+_COMPILE_CHILD = (
+    "import sys; compiled = []; "
+    "sys.addaudithook(lambda event, args: event == 'compile' "
+    "and not str(args[1]).endswith('.py') and compiled.append(str(args[1]))); "
+    "{}; sys.stderr.write(''.join(name + '\\n' for name in compiled))")
 _RUN = ("import swcohom.cli; status = swcohom.cli.main(sys.argv[1:]); "
         "assert status == 0")
 _RUN_DOMAIN_ERROR = _RUN.replace("status == 0", "status == 1")
@@ -1189,7 +1200,7 @@ _INDEX_ONE_PROBLEM = {
 }
 
 
-@pytest.mark.parametrize("statement, argv, absent", [
+_FOOTPRINTS = pytest.mark.parametrize("statement, argv, absent", [
     ("import swcohom", [], _SUBMODULES | {"__future__"}),
     ("import swcohom.cli", [], _SUBMODULES - {"swcohom.cli"} | {"__future__"}),
     # the reader compiles no regular expression, and linalg's elimination
@@ -1221,8 +1232,11 @@ _INDEX_ONE_PROBLEM = {
         "hurewicz", "bound", "sharpscan", "bound-domain-error", "chamber",
         "reduce", "reduce-zero-linear", "reduce-piecewise-net",
         "reduce-parse-error", "reduce-domain-error"])
-def test_import_footprint(tmp_path, statement, argv, absent):
-    # each subcommand loads only its own layer and the standard library
+
+
+def _run_child(tmp_path, child, statement, argv):
+    # the child's lines on standard error, less a domain or parse error's
+    # document, which the statement writes before them
     docs = {"problem": TRANSLATION_PROBLEM,
             "zero_linear": _ZERO_LINEAR_PROBLEM,
             "piecewise": _PIECEWISE_PROBLEM,
@@ -1234,13 +1248,18 @@ def test_import_footprint(tmp_path, statement, argv, absent):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD.format(statement),
+        [sys.executable, "-c", child.format(statement),
          *(a.format(**paths) for a in argv)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # a domain error writes its document before the module list
-    added = [line for line in proc.stderr.splitlines()
-             if not line.startswith('{"schema": "swcohom/error/1"')]
+    return [line for line in proc.stderr.splitlines()
+            if not line.startswith('{"schema": "swcohom/error/1"')]
+
+
+@_FOOTPRINTS
+def test_import_footprint(tmp_path, statement, argv, absent):
+    # each subcommand loads only its own layer and the standard library
+    added = _run_child(tmp_path, _CHILD, statement, argv)
     # the child loaded what it ran, so the absences below mean something
     assert ("swcohom.cli" if "cli" in statement else "swcohom") in added
     assert sorted(absent.intersection(added)) == []
@@ -1251,3 +1270,11 @@ def test_import_footprint(tmp_path, statement, argv, absent):
     # start-up cost: dataclasses pulls in inspect, and with it ast, dis
     # and tokenize, which no computed value needs
     assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
+@_FOOTPRINTS
+def test_no_source_is_compiled_at_run_time(tmp_path, statement, argv, absent):
+    # every class and function is compiled with its module, never from
+    # source built at run time, as collections.namedtuple builds each
+    # class it makes and compiles it under "<string>"
+    assert _run_child(tmp_path, _COMPILE_CHILD, statement, argv) == []
