@@ -116,16 +116,17 @@ def _run_dim(args):
 
 def _bound_row(r):
     from .rational import _format_pair
+    d, k, p, kappa, a_coeffs, denominators, lower_bound, cokernel, sharp = r
     return {
-        "d": r.d,
-        "k": r.k,
-        "p": r.p,
-        "kappa": r.kappa,
-        "a_coeffs": [_format_pair(num, den) for num, den in r.a_coeffs],
-        "denominators": list(r.denominators),
-        "lower_bound": r.lower_bound,
-        "lemma_cokernel_order": r.lemma_cokernel_order,
-        "sharp": r.sharp,
+        "d": d,
+        "k": k,
+        "p": p,
+        "kappa": kappa,
+        "a_coeffs": [_format_pair(num, den) for num, den in a_coeffs],
+        "denominators": list(denominators),
+        "lower_bound": lower_bound,
+        "lemma_cokernel_order": cokernel,
+        "sharp": sharp,
     }
 
 
@@ -205,7 +206,8 @@ def _run_reduce(args):
     epsilon = _rational_option("reduce", "--epsilon", args.epsilon)
     if args.samples < 1:
         raise CLIError(2, "parse",
-                       f"bad --samples: need at least 1, got {args.samples}")
+                       "reduce: bad --samples: need at least 1, got "
+                       f"{args.samples}")
     p = _decode(args.problem, ReductionProblem.from_json, "reduction problem")
     v_basis = choose_reduction_subspace(p, epsilon, args.samples)
     report = reduce_and_degree(p, v_basis)

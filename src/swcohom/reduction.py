@@ -31,17 +31,17 @@ the miss check, which weighs the squared integer numerators into |y|^2
 and |pr_perp y|^2, and the degree, which takes the V coordinates, so
 `reduce` checks the miss condition once.
 
-The net and the miss check each sample one Halton walk
-(_halton_ball_scaled): every point over one denominator S, one column of
-integer numerators per coordinate.  _split_walk parts the points by the
-piece that applies, and _Poly.evaluate_walk evaluates each part a
-monomial column at a time, to the values evaluate_scaled gives point by
-point, which the degree still calls.
+Every evaluation is of a walk: points over one denominator S, one column
+of integer numerators per coordinate.  _split_walk parts the points by
+the piece that applies, and _Poly.evaluate_walk evaluates each part a
+monomial column at a time.  The net and the miss check each sample one
+Halton walk (_halton_ball_scaled); the degree, ReductionProblem.f and
+evaluate_scaled evaluate one point as the walk [[x] for x in X].
 """
 
 import math
 
-from .degree import brouwer_degree
+from .degree import _dot, brouwer_degree
 from .linalg import det, nullspace, transpose
 from .rational import (_expect, _format_pair, _keys, _lowest, _pair,
                        _parse_pair, _Record, _strict_int)
@@ -81,49 +81,30 @@ def _over_common_denominator(x):
     return row, s
 
 
-def _int_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 class _Poly:
     """Integer polynomial map: output j is the sum of c x^e over
-    components[j] = {exponent tuple e: int c}, over den > 0.  Its degree is
-    the highest |e| among the keys, and evaluation pads each term to it
-    with powers of S, precompiled as (c, S power, nonzero (i, e_i))."""
+    components[j] = {exponent tuple e: int c}, over den > 0.  Its degree m
+    is the highest |e| among the keys, and evaluation pads each term to it
+    with S^(m - |e|).  The terms are grouped once by monomial, its nonzero
+    (i, e_i) -> [(j, c, m - |e|)]."""
 
     def __init__(self, components, den):
         self.components, self.den = components, den
         self.degree = degree = max(
             (sum(e) for comp in components for e in comp), default=0)
-        self._terms = [[(c, degree - sum(e),
-                         tuple((i, k) for i, k in enumerate(e) if k))
-                        for e, c in comp.items() if c] for comp in components]
-
-    def evaluate_scaled(self, X, S):
-        """Values at x = X/S, for integers X and S > 0, as integer numerators
-        over one common denominator: (numerators, denominator)."""
-        m = self.degree
-        s_pow = [1]
-        x_pow = [[1] for _ in X]
-        for _ in range(m):
-            s_pow.append(s_pow[-1] * S)
-            for xi, row in zip(X, x_pow):
-                row.append(row[-1] * xi)
-        nums = []
-        for comp in self._terms:
-            total = 0
-            for coeff, slack, factors in comp:
-                term = coeff * s_pow[slack]
-                for i, e in factors:
-                    term *= x_pow[i][e]
-                total += term
-            nums.append(total)
-        return nums, self.den * s_pow[m]
+        self._monomials = monomials = {}
+        for j, comp in enumerate(components):
+            for e, c in comp.items():
+                if c:
+                    factors = tuple((i, k) for i, k in enumerate(e) if k)
+                    monomials.setdefault(factors, []).append(
+                        (j, c, degree - sum(e)))
 
     def evaluate_walk(self, columns, S):
         """Values at every point of a walk, x_i = columns[i][j] / S at point
-        j for integers and S > 0, as evaluate_scaled gives them point by
-        point: (one column of numerators per component, den S^m).
+        j for integers and S > 0, as integer numerators over one common
+        denominator: (one column of numerators per component, den S^m).
+        A single point X is the walk [[x] for x in X].
 
         Column by column: each power column (variable, exponent) is built
         once, then each monomial's column once, and every term of that
@@ -136,12 +117,8 @@ class _Poly:
             s_pow.append(s_pow[-1] * S)
         ones = [1] * (len(columns[0]) if columns else 1)
         powers = [[ones, col] for col in columns]
-        terms = {}
-        for j, comp in enumerate(self._terms):
-            for coeff, slack, factors in comp:
-                terms.setdefault(factors, []).append((j, coeff * s_pow[slack]))
-        totals = [[0] * len(ones) for _ in self._terms]
-        for factors, uses in terms.items():
+        totals = [[0] * len(ones) for _ in self.components]
+        for factors, uses in self._monomials.items():
             col = ones
             for i, e in factors:
                 row = powers[i]
@@ -149,7 +126,8 @@ class _Poly:
                     row.append([a * b for a, b in zip(row[-1], row[1])])
                 col = row[e] if col is ones else [
                     a * b for a, b in zip(col, row[e])]
-            for j, c in uses:
+            for j, c, slack in uses:
+                c *= s_pow[slack]
                 totals[j] = [t + c * a for t, a in zip(totals[j], col)]
         return totals, self.den * s_pow[m]
 
@@ -206,8 +184,11 @@ class PolynomialMap:
         self._poly = _Poly(ints, den)
 
     def evaluate_scaled(self, X, S):
-        """Values at x = X/S as _Poly.evaluate_scaled gives them."""
-        return self._poly.evaluate_scaled(X, S)
+        """Values at x = X/S, for integers X and S > 0, as integer
+        numerators over one common denominator: (numerators, denominator),
+        the _Poly's walk of the one point."""
+        nums, den = self._poly.evaluate_walk([[x] for x in X], S)
+        return [a for a, in nums], den
 
     @property
     def pieces(self):
@@ -238,18 +219,12 @@ class PiecewisePolynomialMap:
         if not self.pieces:
             raise ValueError("need at least one piece")
 
-    def piece(self, norm2, den):
-        """The map of the first piece with norm2 / den <= threshold, for
-        integers norm2 and den > 0.
-        """
-        for threshold, poly in self.pieces:
-            if threshold is None or norm2 * threshold[1] <= threshold[0] * den:
-                return poly
-        raise _uncovered(norm2, den)
-
     def evaluate_scaled(self, X, S):
-        """The piece at x = X/S, evaluated as PolynomialMap.evaluate_scaled."""
-        return self.piece(_int_dot(X, X), S * S).evaluate_scaled(X, S)
+        """The piece that _split_walk picks for the one point x = X/S,
+        evaluated as PolynomialMap.evaluate_scaled."""
+        (poly, _, _), = _split_walk(self.pieces, [1] * len(X),
+                                    [[x] for x in X], S * S)
+        return poly.evaluate_scaled(X, S)
 
     def to_json(self):
         return {
@@ -263,18 +238,17 @@ class PiecewisePolynomialMap:
         }
 
 
-def _uncovered(norm2, den):
-    return ValueError(
-        f"no piece covers |x|^2 = {_format_pair(*_lowest(norm2, den))}")
-
-
 def _split_walk(pieces, weights, columns, den):
     """The points of a walk (columns, S) by the first of the pieces
-    (threshold or None, map) that covers |x|^2 = sum_k w_k X_k^2 / den, as
-    PiecewisePolynomialMap.piece picks it: (map, point indices, their
-    columns) per piece that some point falls to, in the order of pieces.
+    (threshold or None, map) whose threshold t has |x|^2 <= t, for |x|^2 =
+    sum_k w_k X_k^2 / den: (map, point indices, their columns) per piece
+    that some point falls to, in the order of pieces.  This is the one
+    first-match rule of a piecewise map; a point that no piece covers is
+    a ValueError that names its |x|^2.
     """
     size = len(columns[0]) if columns else 1
+    if pieces[0][0] is None:
+        return [(pieces[0][1], range(size), columns)]
     lengths2 = [0] * size
     for w, col in zip(weights, columns):
         lengths2 = [n + w * a * a for n, a in zip(lengths2, col)]
@@ -291,7 +265,8 @@ def _split_walk(pieces, weights, columns, den):
                            [[col[j] for j in inside] for col in columns]))
         if not rest:
             return groups
-    raise _uncovered(lengths2[rest[0]], den)
+    raise ValueError("no piece covers |x|^2 = "
+                     f"{_format_pair(*_lowest(lengths2[rest[0]], den))}")
 
 
 def builtin_compact(name, dim, params=None, target_dim=None):
@@ -611,7 +586,7 @@ def _unit_rescale(row, den):
     float square root only guides the choice of t.  float(q0) is the
     division of its integers, as Fraction gives it.
     """
-    q = _lowest(_int_dot(row, row), den * den)
+    q = _lowest(_dot(row, row), den * den)
     e = (q[0].bit_length() - q[1].bit_length()) // 2
     s = (1, 1 << e) if e >= 0 else (1 << -e, 1)
     q0 = (q[0] * s[0] ** 2) / (q[1] * s[1] ** 2)
@@ -640,12 +615,12 @@ def _gram_schmidt(vectors):
         m = math.lcm(*(n2 for _, _, n2 in basis))
         W = [m * x for x in V]
         for B, _, n2 in basis:
-            c = _int_dot(V, B) * (m // n2)
+            c = _dot(V, B) * (m // n2)
             W = [w - c * b for w, b in zip(W, B)]
         if any(W):
             g = math.gcd(*W, m * e)
             W = [w // g for w in W]
-            basis.append((W, m * e // g, _int_dot(W, W)))
+            basis.append((W, m * e // g, _dot(W, W)))
     return basis
 
 
@@ -664,7 +639,7 @@ def _preimage_basis(p: ReductionProblem, u_rows):
     # l^-1(V) = kernel of x -> (projections of l x onto V-perp): the rows
     # u^T l, for integer rows u spanning V-perp, times l's denominator
     columns = transpose(_integer_rows(p.linear_part)[0])
-    rows = [[_int_dot(u, col) for col in columns] for u in u_rows]
+    rows = [[_dot(u, col) for col in columns] for u in u_rows]
     return _prepared_basis(nullspace(rows, p.domain_dim))
 
 
@@ -672,8 +647,8 @@ def _residual2(rows, y):
     # k |y - pr y|^2 = k |y|^2 - sum k (y.B)^2 / |B|^2 for integer y and an
     # orthogonal basis given as rows (B, d, |B|^2), k = lcm |B|^2: (num, k)
     k = math.lcm(*(n2 for _, _, n2 in rows))
-    return (k * _int_dot(y, y)
-            - sum(_int_dot(y, row) ** 2 * (k // n2) for row, _, n2 in rows)), k
+    return (k * _dot(y, y)
+            - sum(_dot(y, row) ** 2 * (k // n2) for row, _, n2 in rows)), k
 
 
 class _ReducedMap:
@@ -699,13 +674,13 @@ class _ReducedMap:
         rows += [W for W, _, _ in _gram_schmidt(nullspace(rows, p.target_dim))]
         self.b_vprime = _preimage_basis(p, rows[len(self.b_v):])
         lift_rows, self._lift_den = _integer_rows(self.b_vprime)
-        self._lift_weights = [_int_dot(row, row) for row in lift_rows]
-        self._weights = [_int_dot(row, row) for row in rows]
+        self._lift_weights = [_dot(row, row) for row in lift_rows]
+        self._weights = [_dot(row, row) for row in rows]
         self._d2 = d * d
         # over k = lcm |B|^2 the coordinate is d (k / |B|^2) (y . B) / k,
         # and D f = D c + D l, l's rows as degree-1 terms, is in integers
         k, n = math.lcm(*self._weights), p.domain_dim
-        pieces = []
+        self._pieces = []
         for threshold, c in p.compact_part.pieces:
             c = c._poly
             D = math.lcm(c.den, *(den for row in p.linear_part for _, den in row))
@@ -718,27 +693,22 @@ class _ReducedMap:
                 for b, terms in zip(row, f):
                     for e, v in terms:
                         total[e] = total.get(e, 0) + d * (k // n2) * b * v
-            pieces.append((threshold,
-                           _Poly(y, D * k).substitute(lift_rows, self._lift_den)))
-        self._y = PiecewisePolynomialMap(pieces)
-
-    def evaluate_scaled(self, T, s):
-        """The coordinates of y = f(B_V' t) along B_V, then B_U, at
-        t = T / s, as integer numerators over one denominator."""
-        norm2 = sum(w * tk * tk for w, tk in zip(self._lift_weights, T))
-        return self._y.piece(norm2, (s * self._lift_den) ** 2).evaluate_scaled(T, s)
+            self._pieces.append((threshold, _Poly(y, D * k).substitute(
+                lift_rows, self._lift_den)))
 
     def evaluate_walk(self, columns, S):
         """The coordinates of y = f(B_V' t) along B_V, then B_U, at every
         point t of a walk (columns, S), grouped by the piece that applies:
         (one column of numerators per coordinate, den) per group."""
         return [poly.evaluate_walk(cols, S) for poly, _, cols in _split_walk(
-            self._y.pieces, self._lift_weights, columns,
+            self._pieces, self._lift_weights, columns,
             (S * self._lift_den) ** 2)]
 
     def g(self, T, s):
-        nums, den = self.evaluate_scaled(T, s)
-        return nums[:len(self.b_v)], den
+        """The B_V coordinates of y at t = T / s, the walk of the one point,
+        as integer numerators over one denominator."""
+        (nums, den), = self.evaluate_walk([[tk] for tk in T], s)
+        return [a for a, in nums[:len(self.b_v)]], den
 
 
 # -- the reduction operations ------------------------------------------------
@@ -908,7 +878,7 @@ def reduce_and_degree(p: ReductionProblem, v_basis) -> DegreeReport:
     # the rows l w for w in U' times the denominators of l and of U'
     b_uprime = nullspace(_integer_rows(b_vprime)[0], p.domain_dim)
     lin = _integer_rows(p.linear_part)[0]
-    l_uprime = [[_int_dot(row, w) for row in lin]
+    l_uprime = [[_dot(row, w) for row in lin]
                 for w in _integer_rows(b_uprime)[0]]
     sign = (_sign(det(_integer_rows(b_uprime + b_vprime)[0]))
             * _sign(det(l_uprime + _integer_rows(b_v)[0])))

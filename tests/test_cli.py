@@ -522,6 +522,9 @@ _OPTION_MESSAGES = {
     "characters",
     "reduce-huge-radius": "bad reduction problem: an integer of 5000 "
     "characters",
+    "reduce-zero-samples": "reduce: bad --samples: need at least 1, got 0",
+    "reduce-negative-samples": "reduce: bad --samples: need at least 1, "
+    "got -5",
     "usage-non-integer-option": "bound: bad --d: not an integer: 'x'",
     "usage-missing-option": "reduce: missing --problem",
     "usage-unknown-subcommand": "unknown subcommand 'frobnicate'",

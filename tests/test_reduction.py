@@ -316,7 +316,9 @@ def per_point_miss(p, v_basis):
                               _lowest(17 * r_num, 16 * r_den))
     ok, worst, k = True, None, 10 ** 6
     for T, s in points:
-        nums, den = rmap.evaluate_scaled(T, s)
+        # each point as a walk of its own
+        [(cols, den)] = rmap.evaluate_walk([[t] for t in T], s)
+        nums = [a for a, in cols]
         squares = [w * a * a for w, a in zip(rmap._weights, nums)]
         Q = sum(squares[len(rmap.b_v):])
         Y, D = Q + sum(squares[:len(rmap.b_v)]), rmap._d2 * den * den
@@ -819,8 +821,8 @@ def test_substitute_matches_direct_evaluation(case):
     q = m._poly.substitute(rows, d)
     x = [sum((F(tk, s) * F(row[i], d) for tk, row in zip(T, rows)), F(0))
          for i in range(m.input_dim)]
-    nums, den = q.evaluate_scaled(T, s)
-    assert [F(a, den) for a in nums] == naive_polynomial(m, x)
+    nums, den = q.evaluate_walk([[t] for t in T], s)
+    assert [F(a, den) for a, in nums] == naive_polynomial(m, x)
     # divided by its content, and with no zero term, so of the degree of
     # its nonzero terms
     coeffs = [c for comp in q.components for c in comp.values()]
@@ -856,15 +858,19 @@ def walks(draw):
 
 
 @given(walks())
-def test_walk_evaluation_matches_point_evaluation(case):
-    # column by column, the walk's values are evaluate_scaled's at each
-    # point, numerator for numerator over the same denominator
+def test_walk_evaluation_matches_naive_polynomial(case):
+    # column by column, the walk's values are the map as given, term by
+    # term in Fractions, at each point, and each point alone as a walk of
+    # one point gives its column of the walk over the same denominator
     m, columns, S = case
     nums, den = m._poly.evaluate_walk(columns, S)
     assert len(nums) == len(m.components)
     for j, X in enumerate(zip(*columns)):
-        assert (m._poly.evaluate_scaled(list(X), S)
-                == ([col[j] for col in nums], den))
+        values = [col[j] for col in nums]
+        assert ([F(a, den) for a in values]
+                == naive_polynomial(m, [F(x, S) for x in X]))
+        assert (m._poly.evaluate_walk([[x] for x in X], S)
+                == ([[a] for a in values], den))
 
 
 def three_pieces(p):
@@ -926,8 +932,9 @@ def test_net_ties_go_to_the_first_point_of_the_walk():
 
 
 def test_split_walk_follows_piece():
-    # each point goes to the piece piece() picks, and a point no piece
-    # covers is piece()'s error
+    # each point goes to the first piece whose threshold covers its |x|^2,
+    # the rule taken in Fractions, and a point no piece covers is an error
+    # that names its |x|^2
     a = PolynomialMap(1, [[(F(1), (0,))]])
     b = PolynomialMap(1, [[(F(2), (0,))]])
     m = PiecewisePolynomialMap([(F(1, 4), a), (F(4), b)])
@@ -935,13 +942,16 @@ def test_split_walk_follows_piece():
     groups = _split_walk(m.pieces, [1], columns, 4)
     assert groups == [(a, [0, 1, 5], [[0, 1, 1]]),
                       (b, [2, 3, 4], [[-2, 3, 4]])]
+
+    def first_match(x):
+        return next(poly for t, poly in [(F(1, 4), a), (F(4), b)]
+                    if x * x <= t)
+
     for poly, indices, _ in groups:
-        assert all(m.piece(columns[0][j] ** 2, 4) is poly for j in indices)
+        assert all(first_match(F(columns[0][j], 2)) is poly for j in indices)
     with pytest.raises(ValueError) as uncovered:
         _split_walk(m.pieces, [1], [[0, 5, 7]], 4)
-    with pytest.raises(ValueError) as by_piece:
-        m.piece(25, 4)
-    assert str(uncovered.value) == str(by_piece.value)
+    assert str(uncovered.value) == "no piece covers |x|^2 = 25/4"
 
 
 def test_piecewise_threshold_is_inclusive():
