@@ -256,31 +256,22 @@ def _run_chamber(args):
 
 # -- reading ----------------------------------------------------------------
 #
-# lattice and reduce read one JSON document each.  The reader takes the
-# texts json.loads takes and gives equal values, NaN, the infinities and
-# the digit limit of integer text included, with json's error messages,
-# so that no job imports json.  It reads character by character: json's
-# C scanner raises its errors through json.decoder (SystemError while that
-# is not loaded), and compiling one regular expression costs about as
-# much as importing json.  A nested array or object is one level of
-# Python recursion, so nesting past the recursion limit raises
+# lattice and reduce read one JSON document each, and their formats are
+# made of objects, arrays, strings with no backslash or control character,
+# integers and null.  The reader takes that vocabulary by hand, so that a
+# well-formed input file loads no json: json's C scanner raises its errors
+# through json.decoder, and compiling one regular expression costs about
+# as much as importing json.  At the first character off the vocabulary
+# it hands the whole text to json.loads, which gives the value or the
+# refusal, with json's own message.  A nested array or object is one
+# level of Python recursion, so nesting past the recursion limit raises
 # RecursionError.
 
 _WHITESPACE = " \t\n\r"
-# the word a value starting with the key is read as, or, for "-", a number
-_WORDS = {"n": ("null", None), "t": ("true", True), "f": ("false", False),
-          "N": ("NaN", float("nan")), "I": ("Infinity", float("inf")),
-          "-": ("-Infinity", float("-inf"))}
-_UNESCAPE = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
-             "n": "\n", "r": "\r", "t": "\t"}
-_HEX = frozenset("0123456789abcdefABCDEF")
 
 
-def _malformed(message, text, pos):
-    # json.JSONDecodeError's text, as a ValueError
-    line = text.count("\n", 0, pos) + 1
-    column = pos - text.rfind("\n", 0, pos)
-    return ValueError(f"{message}: line {line} column {column} (char {pos})")
+class _OffVocabulary(Exception):
+    """The text leaves the vocabulary the hand reader takes."""
 
 
 def _skip(text, i):
@@ -291,57 +282,14 @@ def _skip(text, i):
     return i
 
 
-def _hex4(text, i, at):
-    # the four hex digits at text[i:i + 4]; json reports a bad one at ``at``
-    digits = text[i:i + 4]
-    if not _HEX.issuperset(digits):
-        raise _malformed("Invalid \\uXXXX escape", text, at)
-    return int(digits, 16)
-
-
 def _read_string(text, i):
     """(string, end) for the string whose opening quote is text[i - 1]."""
-    begin, n = i - 1, len(text)
-    chunks = []
-    # the next quote and backslash at or after i, n for none; each is
-    # looked for again only once i has passed it
-    quote = backslash = begin
-    while True:
-        if quote < i:
-            quote = text.find('"', i)
-            quote = n if quote < 0 else quote
-        if backslash < i:
-            backslash = text.find("\\", i)
-            backslash = n if backslash < 0 else backslash
-        stop = min(quote, backslash)
-        chunk = text[i:stop]
-        if not chunk.isprintable() and min(chunk) < " ":
-            for j, c in enumerate(chunk, i):
-                if c < " ":
-                    raise _malformed("Invalid control character at", text, j)
-        chunks.append(chunk)
-        if quote < backslash:
-            return "".join(chunks), quote + 1
-        if stop + 1 >= n:
-            raise _malformed("Unterminated string starting at", text, begin)
-        c = text[stop + 1]
-        if c != "u":
-            if c not in _UNESCAPE:
-                raise _malformed("Invalid \\escape", text, stop)
-            chunks.append(_UNESCAPE[c])
-            i = stop + 2
-            continue
-        # \uXXXX, and a high surrogate joins a low one escaped right after
-        i = stop + 6
-        if i >= n:
-            raise _malformed("Invalid \\uXXXX escape", text, stop + 1)
-        code = _hex4(text, stop + 2, stop + 1)
-        if 0xD800 <= code <= 0xDBFF and i + 6 < n and text[i:i + 2] == "\\u":
-            low = _hex4(text, i + 2, i + 1)
-            if 0xDC00 <= low <= 0xDFFF:
-                code = 0x10000 + ((code - 0xD800) << 10 | low - 0xDC00)
-                i += 6
-        chunks.append(chr(code))
+    end = text.find('"', i)
+    chunk = text[i:end]
+    if end < 0 or "\\" in chunk or (
+            not chunk.isprintable() and min(chunk) < " "):
+        raise _OffVocabulary
+    return chunk, end + 1
 
 
 def _read_value(text, i):
@@ -361,74 +309,52 @@ def _read_value(text, i):
                 items.append(value)
             else:
                 if text[i:i + 1] != '"':
-                    raise _malformed("Expecting property name enclosed in "
-                                     "double quotes", text, i)
+                    raise _OffVocabulary
                 key, i = _read_string(text, i + 1)
                 i = _skip(text, i)
                 if text[i:i + 1] != ":":
-                    raise _malformed("Expecting ':' delimiter", text, i)
+                    raise _OffVocabulary
                 # a repeated key keeps its first place and its last value
                 items[key], i = _read_value(text, _skip(text, i + 1))
             i = _skip(text, i)
             if text[i:i + 1] == close:
                 return items, i + 1
             if text[i:i + 1] != ",":
-                raise _malformed("Expecting ',' delimiter", text, i)
+                raise _OffVocabulary
             i = _skip(text, i + 1)
-    if c in _WORDS:
-        word, value = _WORDS[c]
-        if text.startswith(word, i):
-            return value, i + len(word)
-    # a number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?
+    if c == "n" and text.startswith("null", i):
+        return None, i + 4
+    # an integer, -?(0|[1-9][0-9]*), not followed by a fraction or exponent
     n = len(text)
-    j = i + (c == "-")
-    if j < n and "1" <= text[j] <= "9":
-        j += 1
-        while j < n and "0" <= text[j] <= "9":
-            j += 1
-    elif text[j:j + 1] == "0":
-        j += 1
-    else:
-        raise _malformed("Expecting value", text, i)
-    is_float = False
-    if text[j:j + 1] == "." and "0" <= text[j + 1:j + 2] <= "9":
-        is_float = True
-        j += 2
-        while j < n and "0" <= text[j] <= "9":
-            j += 1
-    if text[j:j + 1] in ("e", "E"):
-        k = j + 1
-        if text[k:k + 1] in ("-", "+"):
-            k += 1
-        digits = k
-        while k < n and "0" <= text[k] <= "9":
-            k += 1
-        if k > digits:
-            is_float = True
-            j = k
+    j = k = i + (c == "-")
+    while k < n and "0" <= text[k] <= "9":
+        k += 1
+    if k == j or (text[j] == "0" and k > j + 1) or text[k:k + 1] in (
+            ".", "e", "E"):
+        raise _OffVocabulary
     # int() refuses more digits than Python converts, as json does
-    return (float if is_float else int)(text[i:j]), j
+    return int(text[i:k]), k
 
 
 def _loads(text):
     """The value of json.loads(text), for a str ``text``; a malformed text
-    raises ValueError with json's message."""
-    if text.startswith("\ufeff"):
-        raise _malformed("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                         text, 0)
-    value, i = _read_value(text, _skip(text, 0))
-    i = _skip(text, i)
-    if i != len(text):
-        raise _malformed("Extra data", text, i)
-    return value
+    raises json.loads's error."""
+    try:
+        value, i = _read_value(text, _skip(text, 0))
+        if _skip(text, i) == len(text):
+            return value
+    except _OffVocabulary:
+        pass
+    import json
+    return json.loads(text)
 
 
 # -- rendering --------------------------------------------------------------
 #
 # Reports and error documents hold dict, list, str, int, bool and None,
 # and the writer takes exactly these: it gives the text of
-# json.dumps(value, indent=2) or json.dumps(value), so that a job that
-# reads no JSON never imports json.
+# json.dumps(value, indent=2) or json.dumps(value), so that no report or
+# error document imports json.
 
 # the escapes of json's ensure_ascii; every other character outside
 # " ".."~" becomes \uXXXX, and one outside the BMP a surrogate pair

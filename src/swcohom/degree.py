@@ -30,6 +30,7 @@ of zeros well inside the ball).
 """
 
 from itertools import combinations
+from operator import mul
 
 from .rational import _format_pair, _lowest, _pair
 
@@ -180,7 +181,7 @@ def _cross(u, v):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _cofactors(cell):

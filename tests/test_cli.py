@@ -948,13 +948,14 @@ def json_texts(draw):
 
 def _read(loads, text):
     # the repr of the value, which tells -0.0 from 0.0 and shows key
-    # order, or the kind of error
+    # order, the message of a refusal, or, for nesting too deep, the kind
+    # of error
     try:
         return repr(loads(text))
     except RecursionError:
         return RecursionError
-    except ValueError:
-        return ValueError
+    except ValueError as exc:
+        return ValueError, str(exc)
 
 
 @given(json_texts())
@@ -970,9 +971,14 @@ def _read(loads, text):
 @example("\ufeff[1]")
 @example('{"a":1,"b":2,"a":3}')
 @example("1" * 5000)
+@example('"a\\u0062"')
+@example('"tab\\tx"')
+@example("[1.5e3]")
+@example("[true, false, NaN]")
 def test_reader_is_json_loads(text):
-    # the values json.loads gives, and its refusals; a 5000-digit integer
-    # is past the digit limit of integer text, so both refuse it
+    # the values json.loads gives, and its refusals with their messages; a
+    # 5000-digit integer is past the digit limit of integer text, so both
+    # refuse it
     assert _read(_loads, text) == _read(json.loads, text)
 
 
@@ -1164,8 +1170,9 @@ _RUN_DOMAIN_ERROR = _RUN.replace("status == 0", "status == 1")
 _RUN_PARSE_ERROR = _RUN.replace("status == 0", "status == 2")
 _SUBMODULES = {f"swcohom.{m.name}" for m in pkgutil.iter_modules(swcohom.__path__)}
 # the command line is read without argparse, and so without gettext and
-# locale, which argparse loads, and input files and reports without json;
-# no module postpones its annotations, which loads __future__
+# locale, which argparse loads, and well-formed input files and reports
+# without json (any other input text is read and refused by json.loads
+# itself); no module postpones its annotations, which loads __future__
 _PARSER = {"argparse", "gettext", "locale", "json", "__future__"}
 # fractions loads decimal and numbers
 _FRACTIONS = {"fractions", "decimal", "numbers"}
